@@ -13,11 +13,23 @@ import sys
 from typing import Iterator
 
 from . import ballot, paths, threshold, trees, verify
-from .errors import RaneyseqError
+from .errors import InvalidParameterError, RaneyseqError
 from .threshold import ThresholdParams, ThresholdSequence
 
-DIRECTIONS = ("seq-to-trees", "trees-to-seq", "seq-to-path", "path-to-seq",
-              "seq-to-ballot", "ballot-to-seq")
+# Each map direction and the option holding its input.
+DIRECTIONS = {"seq-to-trees": "seq", "trees-to-seq": "tuple",
+              "seq-to-path": "seq", "path-to-seq": "path",
+              "seq-to-ballot": "seq", "ballot-to-seq": "word"}
+# The output formats each enumerated kind can emit.
+FORMATS = {"seq": ("json", "csv"), "path": ("json", "csv", "ascii"),
+           "tree": ("json", "dot"), "tuple": ("json",)}
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -41,6 +53,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.format not in FORMATS[args.kind]:
+        raise InvalidParameterError(
+            f"--kind {args.kind} cannot emit --format {args.format}")
     budget = _budget(args)
     out = sys.stdout
     if args.kind == "seq":
@@ -71,6 +86,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    source = DIRECTIONS[args.direction]
+    if getattr(args, source) is None:
+        raise InvalidParameterError(f"{args.direction} needs --{source}")
     out = sys.stdout
     if args.direction == "seq-to-trees":
         t = trees.tuple_of(_parse_seq(args))
@@ -153,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="seq")
     p.add_argument("--format", choices=("json", "csv", "dot", "ascii"),
                    default="json")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_nonnegative, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("map", help="map one object through a bijection")
@@ -169,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the bijection suite for one cell")
     add_common(p)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_nonnegative, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identities", help="run the exact identity suites")

@@ -13,12 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import (
-    BudgetExceededError,
-    HeightExceedsLimitError,
-    InvalidParameterError,
-)
-from .threshold import ThresholdParams, ThresholdSequence, validate
+from .errors import HeightExceedsLimitError, InvalidParameterError
+from .threshold import ThresholdParams, ThresholdSequence, capped, validate
 
 
 @dataclass(frozen=True)
@@ -99,16 +95,11 @@ def enumerate_paths(k: int, l: int, n: int,
     """
     if k < 2 or not 0 <= l <= k - 2 or n < 1:
         raise InvalidParameterError("need k >= 2, 0 <= l <= k-2 and n >= 1")
-    yielded = 0
     rises: list[int] = []
 
     def extend(i: int, height: int) -> Iterator[ExtMotzkinPath]:
-        nonlocal yielded
         if i > n:
             if height <= l:
-                yielded += 1
-                if budget is not None and yielded > budget:
-                    raise BudgetExceededError(budget)
                 yield ExtMotzkinPath(k, tuple(rises))
             return
         low = -min(k - 1, height)
@@ -118,7 +109,7 @@ def enumerate_paths(k: int, l: int, n: int,
             yield from extend(i + 1, height + rise)
             rises.pop()
 
-    yield from extend(1, 0)
+    return capped(extend(1, 0), budget)
 
 
 def is_classic_motzkin(path: ExtMotzkinPath) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import exactmath
 from .errors import (
@@ -112,11 +112,25 @@ def cut_index(seq: ThresholdSequence) -> int:
     """
     if seq.d != 0:
         raise InvalidParameterError("cut_index requires offset 0")
-    values, k, n = seq.values, seq.k, seq.n
-    for i in range(n - 1, 0, -1):
-        if values[i - 1] < values[-1] - (n - i) * k:
+    return cut_of(seq.values, seq.k)
+
+
+def cut_of(values: Sequence[int], k: int) -> int:
+    """The cut index of a bare value list (see cut_index)."""
+    m, last = len(values), values[-1]
+    for i in range(m - 1, 0, -1):
+        if values[i - 1] < last - (m - i) * k:
             return i
     return 0
+
+
+def capped(items: Iterable, budget: int | None) -> Iterator:
+    """Yield the items, raising BudgetExceededError in place of the
+    (budget+1)-th; budget None means no cap."""
+    for count, item in enumerate(items, start=1):
+        if budget is not None and count > budget:
+            raise BudgetExceededError(budget)
+        yield item
 
 
 def enumerate_sequences(params: ThresholdParams,
@@ -126,15 +140,10 @@ def enumerate_sequences(params: ThresholdParams,
     if params.n < 1:
         raise InvalidParameterError("enumeration requires n >= 1")
     upper = params.upper
-    yielded = 0
     prefix: list[int] = []
 
     def extend(i: int) -> Iterator[ThresholdSequence]:
-        nonlocal yielded
         if i > params.n:
-            yielded += 1
-            if budget is not None and yielded > budget:
-                raise BudgetExceededError(budget)
             yield ThresholdSequence(params, tuple(prefix))
             return
         start = params.lower(i)
@@ -145,7 +154,7 @@ def enumerate_sequences(params: ThresholdParams,
             yield from extend(i + 1)
             prefix.pop()
 
-    yield from extend(1)
+    return capped(extend(1), budget)
 
 
 def count(params: ThresholdParams) -> int:

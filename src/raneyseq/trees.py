@@ -1,79 +1,101 @@
 """k-ary trees, w-tree labelings, and the threshold-sequence bijection.
 
-A k-ary tree is either a single leaf (the trivial tree) or an internal
-node with exactly k ordered subtrees.  Trees are stored unlabeled;
-w-labelings (breadth-first labels w, w-1, ..., w-nk) are computed on
-demand.  tuple_of/sequence_of_tuple realize the bijection between
-(k,l)-threshold sequences and ordered (l+1)-tuples of k-ary trees.
+A k-ary tree is a single leaf (the trivial tree) or an internal node with
+k ordered subtrees, stored as its preorder word: one byte per node, 1
+internal and 0 leaf.  The w-labeling gives the node at breadth-first
+(BFS) position p the label w - p; only _child_positions, _word_of and
+_positions_of know the BFS layout.  tuple_of/sequence_of_tuple realize the
+bijection between (k,l)-threshold sequences and (l+1)-tuples of trees.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
-    BudgetExceededError,
     EmptyTupleError,
     InvalidParameterError,
     UnreachableLabelError,
 )
-from .threshold import ThresholdParams, ThresholdSequence, validate
+from .threshold import ThresholdParams, ThresholdSequence, capped, cut_of, validate
 
 
-@dataclass(frozen=True)
 class KaryTree:
     """Unlabeled k-ary tree; children is empty (leaf) or has length k."""
 
-    k: int
-    children: tuple["KaryTree", ...] = ()
+    __slots__ = ("k", "word")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int, children: Sequence[KaryTree] = ()) -> None:
+        if k < 2:
             raise InvalidParameterError("arity k must be >= 2")
-        if self.children and len(self.children) != self.k:
+        if children and len(children) != k:
             raise InvalidParameterError(
-                f"internal node needs exactly {self.k} children")
-        for child in self.children:
-            if child.k != self.k:
-                raise InvalidParameterError("child arity mismatch")
+                f"internal node needs exactly {k} children")
+        if any(child.k != k for child in children):
+            raise InvalidParameterError("child arity mismatch")
+        self.k = k
+        self.word = (b"\x01" + b"".join(c.word for c in children)
+                     if children else b"\x00")
+
+    @classmethod
+    def _of(cls, k: int, word: bytes) -> KaryTree:
+        """The tree of a word already known to be a k-ary preorder word."""
+        if k < 2:
+            raise InvalidParameterError("arity k must be >= 2")
+        tree = cls.__new__(cls)
+        tree.k, tree.word = k, word
+        return tree
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KaryTree):
+            return NotImplemented
+        return self.k == other.k and self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash(self.word)
+
+    @property
+    def children(self) -> tuple[KaryTree, ...]:
+        return tuple(KaryTree.from_json(self.k, child)
+                     for child in self.to_json() or ())
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self.word[0]
 
     @property
     def internal_count(self) -> int:
-        count = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                count += 1
-                stack.extend(node.children)
-        return count
+        return self.word.count(1)
 
     @property
     def node_count(self) -> int:
-        return self.k * self.internal_count + 1
+        return len(self.word)
 
     def to_json(self):
         """Leaf -> None, internal node -> list of k child encodings."""
-        if self.is_leaf:
-            return None
-        return [child.to_json() for child in self.children]
+        stack: list = []
+        for bit in reversed(self.word):
+            stack.append([stack.pop() for _ in range(self.k)] if bit else None)
+        return stack[0]
 
     @classmethod
-    def from_json(cls, k: int, data) -> "KaryTree":
+    def from_json(cls, k: int, data) -> KaryTree:
         if isinstance(data, str):
             data = json.loads(data)
-        if data is None:
-            return cls(k)
-        return cls(k, tuple(cls.from_json(k, child) for child in data))
+        word = bytearray()
+        stack = [data]
+        while stack:
+            node = stack.pop()
+            if node is not None and len(node) != k:
+                raise InvalidParameterError(
+                    f"internal node needs exactly {k} children")
+            word.append(node is not None)
+            stack.extend(reversed(node or ()))
+        return cls._of(k, bytes(word))
 
 
 def trivial(k: int) -> KaryTree:
@@ -113,6 +135,39 @@ class TreeTuple:
         return cls(k, tuple(KaryTree.from_json(k, entry) for entry in data))
 
 
+def _child_positions(k: int, j: int) -> range:
+    """BFS positions of the children of the j-th internal node (from 0)."""
+    return range(j * k + 1, j * k + k + 1)
+
+
+def _word_of(k: int, positions: Sequence[int]) -> bytes:
+    """Preorder word of the tree whose internal nodes sit at the given
+    increasing BFS positions, the root at 0."""
+    rank = {p: j for j, p in enumerate(positions)}
+    word = bytearray()
+    stack = [0]
+    while stack:
+        j = rank.get(stack.pop())
+        word.append(j is not None)
+        if j is not None:
+            stack.extend(reversed(_child_positions(k, j)))
+    return bytes(word)
+
+
+def _positions_of(k: int, word: bytes) -> list[int]:
+    """BFS positions of the internal nodes of a preorder word, increasing.
+    BFS order is preorder stably sorted by depth."""
+    depths: list[int] = []
+    pending = [0]  # depths of the nodes still to be read, next one last
+    for bit in word:
+        depth = pending.pop()
+        depths.append(depth)
+        if bit:
+            pending.extend((depth + 1,) * k)
+    bfs = sorted(range(len(word)), key=depths.__getitem__)
+    return [p for p, i in enumerate(bfs) if word[i]]
+
+
 def build_from_internal_labels(k: int, w: int,
                                labels: Sequence[int]) -> KaryTree:
     """Build the k-ary w-tree whose internal nodes carry the given labels.
@@ -129,40 +184,12 @@ def build_from_internal_labels(k: int, w: int,
     for j, label in enumerate(ordered, start=1):
         if label < w - (j - 1) * k:
             raise UnreachableLabelError(label)
-
-    label_set = set(ordered)
-    children_of: dict[int, list[int]] = {}
-    next_label = w - 1
-    queue: deque[int] = deque([w])
-    while queue:
-        x = queue.popleft()
-        if x in label_set:
-            kids = list(range(next_label, next_label - k, -1))
-            next_label -= k
-            children_of[x] = kids
-            queue.extend(kids)
-    assert len(children_of) == len(ordered)
-
-    def freeze(x: int) -> KaryTree:
-        if x in children_of:
-            return KaryTree(k, tuple(freeze(c) for c in children_of[x]))
-        return KaryTree(k)
-
-    return freeze(w)
+    return KaryTree._of(k, _word_of(k, [w - label for label in ordered]))
 
 
 def internal_labels(tree: KaryTree, w: int) -> list[int]:
     """Labels of the internal nodes under the w-labeling, in BFS order."""
-    labels = []
-    label = w
-    queue: deque[KaryTree] = deque([tree])
-    while queue:
-        node = queue.popleft()
-        if node.children:
-            labels.append(label)
-            queue.extend(node.children)
-        label -= 1
-    return labels
+    return [w - p for p in _positions_of(tree.k, tree.word)]
 
 
 def _forest_with_levels(seq: ThresholdSequence) -> list[tuple[KaryTree, int]]:
@@ -173,15 +200,11 @@ def _forest_with_levels(seq: ThresholdSequence) -> list[tuple[KaryTree, int]]:
     values = seq.values
     out: list[tuple[KaryTree, int]] = []
     while values:
-        m = len(values)
+        # The piece after the cut index holds only reachable labels.
+        cut = cut_of(values, k)
         last = values[-1]
-        cut = 0
-        for i in range(m - 1, 0, -1):
-            if values[i - 1] < last - (m - i) * k:
-                cut = i
-                break
-        tree = build_from_internal_labels(k, last, values[cut:])
-        out.append((tree, last - k * m))
+        word = _word_of(k, [last - v for v in reversed(values[cut:])])
+        out.append((KaryTree._of(k, word), last - k * len(values)))
         values = values[:cut]
     return out
 
@@ -254,7 +277,8 @@ def _iter_trees(k: int, n: int) -> Iterator[KaryTree]:
         return
     for comp in _compositions(n - 1, k):
         for kids in itertools.product(*(_all_trees(k, j) for j in comp)):
-            yield KaryTree(k, kids)
+            # The cached children are valid words already.
+            yield KaryTree._of(k, b"\x01" + b"".join([kid.word for kid in kids]))
 
 
 def enumerate_trees(k: int, n: int,
@@ -263,12 +287,7 @@ def enumerate_trees(k: int, n: int,
     the lexicographic child internal-count composition."""
     if k < 2 or n < 0:
         raise InvalidParameterError("need k >= 2 and n >= 0")
-    yielded = 0
-    for tree in _iter_trees(k, n):
-        yielded += 1
-        if budget is not None and yielded > budget:
-            raise BudgetExceededError(budget)
-        yield tree
+    return capped(_iter_trees(k, n), budget)
 
 
 def enumerate_tuples(k: int, r: int, n: int,
@@ -277,31 +296,23 @@ def enumerate_tuples(k: int, r: int, n: int,
     total, each exactly once."""
     if k < 2 or r < 1 or n < 0:
         raise InvalidParameterError("need k >= 2, r >= 1 and n >= 0")
-    yielded = 0
-    for comp in _compositions(n, r):
-        for trees in itertools.product(*(_all_trees(k, j) for j in comp)):
-            yielded += 1
-            if budget is not None and yielded > budget:
-                raise BudgetExceededError(budget)
-            yield TreeTuple(k, trees)
+    return capped((TreeTuple(k, trees)
+                   for comp in _compositions(n, r)
+                   for trees in itertools.product(
+                       *(_all_trees(k, j) for j in comp))), budget)
 
 
 def to_dot(tree: KaryTree, w: int | None = None, name: str = "karytree") -> str:
-    """DOT text for a tree; with w given, nodes show their w-labeling."""
+    """DOT text for a tree, nodes numbered by BFS position; with w given,
+    nodes show their w-labeling."""
     lines = [f"digraph {name} {{", "  node [shape=circle];"]
-    label = w
-    counter = itertools.count()
-    queue: deque[tuple[KaryTree, int]] = deque([(tree, next(counter))])
-    while queue:
-        node, node_id = queue.popleft()
-        text = "" if w is None else str(label)
-        shape = "circle" if node.children else "point"
-        lines.append(f'  n{node_id} [label="{text}", shape={shape}];')
-        if label is not None:
-            label -= 1
-        for child in node.children:
-            child_id = next(counter)
-            lines.append(f"  n{node_id} -> n{child_id};")
-            queue.append((child, child_id))
+    rank = {p: j for j, p in enumerate(_positions_of(tree.k, tree.word))}
+    for p in range(tree.node_count):
+        text = "" if w is None else str(w - p)
+        j = rank.get(p)
+        shape = "point" if j is None else "circle"
+        lines.append(f'  n{p} [label="{text}", shape={shape}];')
+        if j is not None:
+            lines.extend(f"  n{p} -> n{c};" for c in _child_positions(tree.k, j))
     lines.append("}")
     return "\n".join(lines)

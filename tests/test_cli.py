@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,37 @@ class TestEnumerate:
                       "--budget", "3")
         assert code == 2
 
+    def test_negative_budget_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--k", "2", "--n", "3", "--budget", "-1"])
+        assert exc.value.code == 2
+        assert "exceeded" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,fmt", [("seq", "dot"), ("seq", "ascii"),
+                                          ("path", "dot"), ("tree", "csv"),
+                                          ("tree", "ascii"), ("tuple", "csv")])
+    def test_format_the_kind_cannot_emit(self, capsys, kind, fmt):
+        code, out = run(capsys, "enumerate", "--k", "3", "--l", "1", "--n", "2",
+                        "--kind", kind, "--format", fmt)
+        assert code == 2
+        assert out == ""
+
+    # SHA-256 of the exact output, recorded before trees were stored as
+    # preorder words; the tree export must stay byte-identical.
+    @pytest.mark.parametrize("argv,lines,digest", [
+        (["--k", "2", "--n", "6", "--kind", "tree"], 132,
+         "a7f6f1c565788362bacc6e7c99d9313412668a22ffc800c279dc20d9be08ef35"),
+        (["--k", "3", "--n", "5", "--kind", "tree", "--format", "dot"], 9282,
+         "319ff3659deb652322591c8b87454b791928ec5c59442585e48a2031ad4c67e4"),
+        (["--k", "4", "--l", "2", "--n", "4", "--kind", "tuple"], 612,
+         "c9073faad57928151bf446c55550e6e37f53236907380e44920c244dbaac669b"),
+    ])
+    def test_tree_output_pinned(self, capsys, argv, lines, digest):
+        code, out = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestMap:
     def test_seq_to_path_example7(self, capsys):
@@ -98,6 +130,24 @@ class TestMap:
                         "--tuple", encoded)
         assert code == 0
         assert json.loads(out)["values"] == [7, 9, 17, 18]
+
+    def test_seq_to_trees_pinned(self, capsys):
+        code, out = run(capsys, "map", "seq-to-trees", "--k", "4", "--l", "2",
+                        "--seq", "7,9,17,18")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "79ca0b9af094082ec7af6475fa77a4a52eea78b97f489365e16279bf4b3f94d6"
+
+    @pytest.mark.parametrize("direction,option", [
+        ("seq-to-trees", "--seq"), ("trees-to-seq", "--tuple"),
+        ("seq-to-path", "--seq"), ("path-to-seq", "--path"),
+        ("seq-to-ballot", "--seq"), ("ballot-to-seq", "--word")])
+    def test_missing_input(self, capsys, direction, option):
+        code = main(["map", direction, "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {direction} needs {option}\n"
 
     def test_ballot_round_trip(self, capsys):
         code, out = run(capsys, "map", "seq-to-ballot", "--k", "3", "--l", "0",

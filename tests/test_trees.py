@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from raneyseq import exactmath, threshold, trees
@@ -193,6 +195,32 @@ class TestBijectionGrid:
                 assert images == codomain
 
 
+class TestDepth:
+    """Trees as deep as the sequence is long; the lowest sequence of each
+    cell gives a path of n internal nodes."""
+
+    N = 5000
+
+    @pytest.mark.parametrize("k,l", [(2, 0), (3, 1)])
+    @pytest.mark.parametrize("end", ["lowest", "highest"])
+    def test_round_trip_and_export(self, k, l, end):
+        n = self.N
+        top = k * n + l
+        values = ([k * i for i in range(1, n + 1)] if end == "lowest"
+                  else list(range(top - n + 1, top + 1)))
+        s = seq(values, k, l)
+        t = trees.tuple_of(s)
+        assert trees.sequence_of_tuple(t, n) == s
+        again = trees.tuple_of(s)
+        assert hash(again) == hash(t) and again == t
+        (tree,) = [entry for entry in t.trees if not entry.is_leaf]
+        assert KaryTree.from_json(k, tree.to_json()) == tree
+        # one tree holds every value, so its root carries the label s_n
+        w = values[-1]
+        assert trees.internal_labels(tree, w) == values[::-1]
+        assert trees.to_dot(tree, w=w).count("->") == k * n
+
+
 class TestDot:
     def test_contains_edges(self):
         tree = trees.build_from_internal_labels(3, 6, [6, 4])
@@ -200,3 +228,12 @@ class TestDot:
         assert dot.startswith("digraph")
         assert '"6"' in dot and '"4"' in dot
         assert dot.count("->") == 6
+
+    def test_labeled_export_pinned(self):
+        # SHA-256 recorded before trees were stored as preorder words.
+        digest = hashlib.sha256()
+        for n in range(5):
+            for tree in trees.enumerate_trees(3, n):
+                digest.update((trees.to_dot(tree, w=3 * n + 2) + "\n").encode())
+        assert digest.hexdigest() == \
+            "7f4225604ff9debda88bbb6b455bfe774fe487889501c261062e47c728520309"
