@@ -14,7 +14,7 @@ from .errors import InvalidParameterError, MalformedWordError
 from .threshold import ThresholdParams, ThresholdSequence, validate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotWord:
     k: int
     letters: str

@@ -10,19 +10,48 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator
 
 from . import ballot, paths, threshold, trees, verify
 from .errors import InvalidParameterError, RaneyseqError
 from .threshold import ThresholdParams, ThresholdSequence
 
-# Each map direction and the option holding its input.
-DIRECTIONS = {"seq-to-trees": "seq", "trees-to-seq": "tuple",
-              "seq-to-path": "seq", "path-to-seq": "path",
-              "seq-to-ballot": "seq", "ballot-to-seq": "word"}
-# The output formats each enumerated kind can emit.
-FORMATS = {"seq": ("json", "csv"), "path": ("json", "csv", "ascii"),
-           "tree": ("json", "dot"), "tuple": ("json",)}
+
+def _json(obj) -> str:
+    return json.dumps(obj.to_json())
+
+
+# Each kind of object, the formats it can be written in (the first is the
+# default of `map`) and how one object is written in each.  Lambdas look
+# the library up at call time, so a traced run sees each layer call.
+WRITERS = {
+    "seq": {"json": _json, "csv": lambda seq: ",".join(map(str, seq.values))},
+    "path": {"json": _json, "csv": lambda path: ",".join(map(str, path.rises)),
+             "ascii": lambda path: paths.render_ascii(path)},
+    "tree": {"json": _json, "dot": lambda tree: trees.to_dot(tree)},
+    "tuple": {"json": _json},
+    "word": {"text": lambda word: word.letters},
+}
+# Each kind `enumerate` streams, and its objects given (args, budget).
+ENUMERATORS = {
+    "seq": lambda a, budget: threshold.enumerate_sequences(
+        ThresholdParams(a.k, a.l, a.n, a.d), budget),
+    "tree": lambda a, budget: trees.enumerate_trees(a.k, a.n, budget),
+    "tuple": lambda a, budget: trees.enumerate_tuples(a.k, a.l + 1, a.n, budget),
+    "path": lambda a, budget: paths.enumerate_paths(a.k, a.l, a.n, budget),
+}
+# Each map direction: the option holding its input, the map from the
+# parsed arguments to the image, and the kind of the image.
+DIRECTIONS = {
+    "seq-to-trees": ("seq", lambda a: trees.tuple_of(_parse_seq(a)), "tuple"),
+    "trees-to-seq": ("tuple", lambda a: trees.sequence_of_tuple(
+        trees.TreeTuple.from_json(a.k, a.tuple), a.n), "seq"),
+    "seq-to-path": ("seq", lambda a: paths.path_of(_parse_seq(a)), "path"),
+    "path-to-seq": ("path", lambda a: paths.sequence_of_path(
+        paths.ExtMotzkinPath(a.k, _ints(a.path)), a.l), "seq"),
+    "seq-to-ballot": ("seq", lambda a: ballot.to_ballot(_parse_seq(a)), "word"),
+    "ballot-to-seq": ("word", lambda a: ballot.from_ballot(
+        ballot.BallotWord(a.k, a.word), a.k, a.l), "seq"),
+}
 
 
 def _nonnegative(text: str) -> int:
@@ -39,97 +68,67 @@ def _budget(args: argparse.Namespace) -> int:
     return int(env) if env else verify.DEFAULT_BUDGET
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _parse_seq(args: argparse.Namespace) -> ThresholdSequence:
-    values = [int(x) for x in args.seq.split(",")]
-    params = ThresholdParams(args.k, args.l, len(values), args.d)
-    return threshold.validate(values, params)
+    values = _ints(args.seq)
+    return threshold.validate(values, ThresholdParams(args.k, args.l, len(values)))
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     params = ThresholdParams(args.k, args.l, args.n, args.d)
     value = threshold.count_proper(params) if args.proper else threshold.count(params)
-    print(value)
+    # Lift Python's cap on int-to-str digits (from 3.10.7 on) for this answer.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(value)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.format not in FORMATS[args.kind]:
+    if args.format not in WRITERS[args.kind]:
         raise InvalidParameterError(
             f"--kind {args.kind} cannot emit --format {args.format}")
-    budget = _budget(args)
+    if args.d and args.kind != "seq":
+        raise InvalidParameterError(f"--kind {args.kind} takes no --d")
+    write = WRITERS[args.kind][args.format]
+    end = "\n\n" if args.format == "ascii" else "\n"  # a blank line between drawings
     out = sys.stdout
-    if args.kind == "seq":
-        params = ThresholdParams(args.k, args.l, args.n, args.d)
-        for seq in threshold.enumerate_sequences(params, budget=budget):
-            if args.format == "csv":
-                out.write(",".join(map(str, seq.values)) + "\n")
-            else:
-                out.write(json.dumps(seq.to_json()) + "\n")
-    elif args.kind == "path":
-        for path in paths.enumerate_paths(args.k, args.l, args.n, budget=budget):
-            if args.format == "csv":
-                out.write(",".join(map(str, path.rises)) + "\n")
-            elif args.format == "ascii":
-                out.write(paths.render_ascii(path) + "\n\n")
-            else:
-                out.write(json.dumps(path.to_json()) + "\n")
-    elif args.kind == "tree":
-        for tree in trees.enumerate_trees(args.k, args.n, budget=budget):
-            if args.format == "dot":
-                out.write(trees.to_dot(tree) + "\n")
-            else:
-                out.write(json.dumps(tree.to_json()) + "\n")
-    else:  # tuple
-        for t in trees.enumerate_tuples(args.k, args.l + 1, args.n, budget=budget):
-            out.write(json.dumps(t.to_json()) + "\n")
+    for obj in ENUMERATORS[args.kind](args, _budget(args)):
+        out.write(write(obj) + end)
     return 0
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    source = DIRECTIONS[args.direction]
+    source, image_of, kind = DIRECTIONS[args.direction]
     if getattr(args, source) is None:
         raise InvalidParameterError(f"{args.direction} needs --{source}")
-    out = sys.stdout
-    if args.direction == "seq-to-trees":
-        t = trees.tuple_of(_parse_seq(args))
-        out.write(json.dumps(t.to_json()) + "\n")
-    elif args.direction == "trees-to-seq":
-        t = trees.TreeTuple.from_json(args.k, args.tuple)
-        seq = trees.sequence_of_tuple(t, args.n)
-        out.write(json.dumps(seq.to_json()) + "\n")
-    elif args.direction == "seq-to-path":
-        path = paths.path_of(_parse_seq(args))
-        if args.format == "ascii":
-            out.write(paths.render_ascii(path) + "\n")
-        elif args.format == "csv":
-            out.write(",".join(map(str, path.rises)) + "\n")
-        else:
-            out.write(json.dumps(path.to_json()) + "\n")
-    elif args.direction == "path-to-seq":
-        rises = tuple(int(x) for x in args.path.split(","))
-        seq = paths.sequence_of_path(paths.ExtMotzkinPath(args.k, rises), args.l)
-        out.write(json.dumps(seq.to_json()) + "\n")
-    elif args.direction == "seq-to-ballot":
-        out.write(ballot.to_ballot(_parse_seq(args)).letters + "\n")
-    else:  # ballot-to-seq
-        word = ballot.BallotWord(args.k, args.word)
-        seq = ballot.from_ballot(word, args.k, args.l)
-        out.write(json.dumps(seq.to_json()) + "\n")
+    if args.n is not None and args.direction != "trees-to-seq":
+        raise InvalidParameterError(f"{args.direction} takes no --n")
+    fmt = args.format or next(iter(WRITERS[kind]))
+    if fmt not in WRITERS[kind]:
+        raise InvalidParameterError(f"{args.direction} cannot write --format {fmt}")
+    sys.stdout.write(WRITERS[kind][fmt](image_of(args)) + "\n")
     return 0
-
-
-def _emit_report(report: verify.VerifyReport, out) -> None:
-    out.write(json.dumps(report.to_json()) + "\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.check_bijections(args.k, args.l, args.n,
                                      budget=_budget(args))
-    _emit_report(report, sys.stdout)
+    sys.stdout.write(_json(report) + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    if args.report and args.suite == "identities":
+        raise InvalidParameterError("--report needs the ballot suite")
     reports: list[verify.VerifyReport] = []
     if args.suite in ("all", "identities"):
         reports.extend(verify.identity_suites())
@@ -141,7 +140,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
             with open(args.report, "w") as fh:
                 json.dump(summary, fh, indent=2)
     for report in reports:
-        _emit_report(report, sys.stdout)
+        sys.stdout.write(_json(report) + "\n")
     return 0 if all(report.passed for report in reports) else 1
 
 
@@ -152,12 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "paths with exact counts and cross-verified bijections.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_n=True):
+    def add_common(p, n_required=True, d=True):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--l", type=int, default=0)
-        if need_n:
-            p.add_argument("--n", type=int, required=True)
-        p.add_argument("--d", type=int, default=0)
+        p.add_argument("--n", type=int, required=n_required)
+        if d:
+            p.add_argument("--d", type=int, default=0)
 
     p = sub.add_parser("count", help="print the exact sequence count")
     add_common(p)
@@ -165,28 +164,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count proper sequences instead")
     p.set_defaults(func=cmd_count)
 
+    formats = sorted({fmt for kind in WRITERS.values() for fmt in kind})
     p = sub.add_parser("enumerate", help="stream objects one per line")
     add_common(p)
-    p.add_argument("--kind", choices=("seq", "tree", "tuple", "path"),
-                   default="seq")
-    p.add_argument("--format", choices=("json", "csv", "dot", "ascii"),
-                   default="json")
+    p.add_argument("--kind", choices=ENUMERATORS, default="seq")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--budget", type=_nonnegative, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("map", help="map one object through a bijection")
     p.add_argument("direction", choices=DIRECTIONS)
-    add_common(p, need_n=False)
-    p.add_argument("--n", type=int, default=None)
+    add_common(p, n_required=False, d=False)
     p.add_argument("--seq", help="comma-separated sequence values")
     p.add_argument("--tuple", help="JSON tree-tuple encoding")
     p.add_argument("--path", help="comma-separated rises")
     p.add_argument("--word", help="ballot word over {A,B}")
-    p.add_argument("--format", choices=("json", "csv", "ascii"), default="json")
+    p.add_argument("--format", choices=formats,
+                   help="default: the first format of the output kind")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("verify", help="run the bijection suite for one cell")
-    add_common(p)
+    add_common(p, d=False)
     p.add_argument("--budget", type=_nonnegative, default=None)
     p.set_defaults(func=cmd_verify)
 

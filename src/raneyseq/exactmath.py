@@ -2,15 +2,13 @@
 
 Every function returns a plain Python int (arbitrary precision).  Closed
 forms are evaluated as integer products with an exactness check on each
-division; nothing here ever rounds.  All functions are pure and the memo
-tables behind the recurrences are append-only, so concurrent callers are
-safe.
+division; nothing here ever rounds.  All functions are pure and keep no
+state between calls, so concurrent callers are safe.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import InvalidParameterError
 
@@ -58,23 +56,21 @@ def raney(k: int, r: int, n: int) -> int:
     return first
 
 
-@lru_cache(maxsize=None)
 def fuss_catalan_rec(k: int, n: int) -> int:
-    """fuss_catalan by its defining recurrence: the k-fold convolution
-    over all child internal-node counts summing to n - 1."""
+    """fuss_catalan by its defining recurrence: F(0) = 1 and F(m) is the
+    k-fold convolution of F at m - 1, over all child internal-node counts.
+
+    Bottom-up: conv[r - 1][m] is the r-fold convolution of F at m, so
+    conv[0] is F itself; every row grows by one entry per m.
+    """
     _check_kn(k, n)
-    if n == 0:
-        return 1
-    return _tuple_count_rec(k, k, n - 1)
-
-
-@lru_cache(maxsize=None)
-def _tuple_count_rec(k: int, r: int, n: int) -> int:
-    # r-fold convolution of fuss_catalan_rec values at total n
-    if r == 1:
-        return fuss_catalan_rec(k, n)
-    return sum(fuss_catalan_rec(k, i) * _tuple_count_rec(k, r - 1, n - i)
-               for i in range(n + 1))
+    conv: list[list[int]] = [[] for _ in range(k)]
+    fuss = conv[0]
+    for m in range(n + 1):
+        fuss.append(conv[k - 1][m - 1] if m else 1)
+        for r in range(1, k):
+            conv[r].append(sum(fuss[i] * conv[r - 1][m - i] for i in range(m + 1)))
+    return fuss[n]
 
 
 def raney_convolution(k: int, r: int, n: int) -> int:

@@ -17,7 +17,7 @@ from .errors import HeightExceedsLimitError, InvalidParameterError
 from .threshold import ThresholdParams, ThresholdSequence, capped, validate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtMotzkinPath:
     k: int
     rises: tuple[int, ...]

@@ -22,7 +22,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdParams:
     k: int
     l: int
@@ -49,7 +49,7 @@ class ThresholdParams:
         return self.k * self.n + self.l + self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdSequence:
     params: ThresholdParams
     values: tuple[int, ...]

@@ -103,7 +103,7 @@ def trivial(k: int) -> KaryTree:
     return KaryTree(k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeTuple:
     """Ordered tuple of k-ary trees (entries may be trivial)."""
 

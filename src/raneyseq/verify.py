@@ -222,12 +222,12 @@ def check_bijections(k: int, l: int, n: int,
     report = VerifyReport("bijections")
     with _timed(report):
         params = ThresholdParams(k, l, n)
-        seqs = list(threshold.enumerate_sequences(params, budget=budget))
-
+        count = 0
         tuple_images = set()
         path_images = set()
         ok = True
-        for seq in seqs:
+        for seq in threshold.enumerate_sequences(params, budget=budget):
+            count += 1
             t = trees.tuple_of(seq)
             back = trees.sequence_of_tuple(t, n)
             if back.values != seq.values:
@@ -254,17 +254,17 @@ def check_bijections(k: int, l: int, n: int,
                 ok = False
         if ok:
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
-                       len(seqs), len(seqs))
+                       count, count)
 
         codomain = set(trees.enumerate_tuples(k, l + 1, n, budget=budget))
         report.add({"check": "tuple-injective", "k": k, "l": l, "n": n},
-                   len(seqs), len(tuple_images))
+                   count, len(tuple_images))
         report.add({"check": "tuple-surjective", "k": k, "l": l, "n": n},
                    0, len(codomain - tuple_images) + len(tuple_images - codomain))
 
         all_paths = set(paths.enumerate_paths(k, l, n, budget=budget))
         report.add({"check": "path-injective", "k": k, "l": l, "n": n},
-                   len(seqs), len(path_images))
+                   count, len(path_images))
         report.add({"check": "path-surjective", "k": k, "l": l, "n": n},
                    0, len(all_paths - path_images) + len(path_images - all_paths))
     return report

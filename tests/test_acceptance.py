@@ -104,6 +104,7 @@ def test_criterion_3_bijection_suites():
         if raney(k, l + 1, n) > BIJECTION_CAP:
             continue
         report = verify.check_bijections(k, l, n, budget=BIJECTION_CAP)
+        print(f"  bijections {(k, l, n)}: {report.elapsed:.3f} s")
         checked += 1
         if not report.passed:
             print(f"  bijection failure at {(k, l, n)}: "

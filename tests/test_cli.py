@@ -1,9 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from raneyseq.cli import main
+from raneyseq.exactmath import raney
 
 
 def run(capsys, *argv):
@@ -27,6 +29,23 @@ class TestCount:
     def test_invalid_l(self, capsys):
         code, _ = run(capsys, "count", "--k", "3", "--l", "2", "--n", "2")
         assert code == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no cap on int-to-str digits before 3.10.7")
+    def test_answer_longer_than_the_int_to_str_cap(self, capsys):
+        cap = sys.int_info.default_max_str_digits
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(cap)
+        try:
+            code, out = run(capsys, "count", "--k", "3", "--l", "1",
+                            "--n", "6000")
+            assert sys.get_int_max_str_digits() == cap  # restored
+            sys.set_int_max_str_digits(0)
+            assert code == 0
+            assert len(out) - 1 > cap
+            assert out == f"{raney(3, 2, 6000)}\n"
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestEnumerate:
@@ -105,6 +124,33 @@ class TestEnumerate:
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_ascii_paths_pinned(self, capsys):
+        # drawings separated by a blank line; recorded as above
+        code, out = run(capsys, "enumerate", "--k", "2", "--n", "4",
+                        "--kind", "path", "--format", "ascii")
+        assert code == 0
+        assert out.count("\n\n") == 14
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "965aa7d154099da99e4104b630138a90d4ffff7381295118bd8a5bd3cb4ea891"
+
+    @pytest.mark.parametrize("kind", ["path", "tree", "tuple"])
+    def test_offset_for_a_kind_without_one(self, capsys, kind):
+        code, out = run(capsys, "enumerate", "--k", "3", "--l", "1", "--n", "2",
+                        "--kind", kind, "--d", "1")
+        assert code == 2
+        assert out == ""
+
+    def test_offset_for_sequences(self, capsys):
+        code, out = run(capsys, "enumerate", "--k", "3", "--l", "1", "--n", "2",
+                        "--d", "2", "--format", "csv")
+        assert code == 0
+        assert out.split() == ["5,8", "5,9", "6,8", "6,9", "7,8", "7,9", "8,9"]
+
+
+EXAMPLE_7 = "7,15,16,21,28,30,38"
+TUPLE_7_9_17_18 = ("[null, [null, [null, null, null, null], null, null], "
+                   "[[null, null, null, null], null, null, null]]")
+
 
 class TestMap:
     def test_seq_to_path_example7(self, capsys):
@@ -149,6 +195,61 @@ class TestMap:
         assert captured.out == ""
         assert captured.err == f"error: {direction} needs {option}\n"
 
+    # SHA-256 of each direction's output, recorded before the CLI wrote
+    # through one table of writers; the bytes must not change.  The
+    # seq-to-trees output is pinned above.
+    @pytest.mark.parametrize("argv,digest", [
+        (["trees-to-seq", "--k", "4", "--tuple", TUPLE_7_9_17_18],
+         "1b0feb4b0f699c4f37e7461d2491c9faa90881161a2f53c7ae2fafeca48dab92"),
+        (["seq-to-path", "--k", "5", "--l", "3", "--seq", EXAMPLE_7],
+         "0ed145bb918396460d0e02762402b4074d0499fbf2670cd18ed1927e812cb46a"),
+        (["seq-to-path", "--k", "5", "--l", "3", "--seq", EXAMPLE_7,
+          "--format", "csv"],
+         "c3754a9de3dd084731f4fdec260ddf948c6a05934ca9d74087b0b71199876ff2"),
+        (["seq-to-path", "--k", "5", "--l", "3", "--seq", EXAMPLE_7,
+          "--format", "ascii"],
+         "fc12897cc69db5e41d910a17aff4d5008abd1daed47ecb28e338b962778895c2"),
+        (["path-to-seq", "--k", "5", "--l", "3", "--path", "2,3,-4,0,2,-3,3"],
+         "fdacc67afce718ba8a674b6fbb74e1fd7f22381dadb052c2a9dc898ee7c72749"),
+        (["seq-to-ballot", "--k", "3", "--seq", "3,6"],
+         "3fce46a4853a9f90bc318da5b49cbd9ece040343ddd673c58e292a523083b57c"),
+        (["ballot-to-seq", "--k", "3", "--word", "AAAABAAAB"],
+         "fddb19a65f173d5c6d3076b63e7ee88d18370565fabc8b287658a5030f5df014"),
+    ])
+    def test_output_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "map", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_seq_output_as_csv(self, capsys):
+        code, out = run(capsys, "map", "trees-to-seq", "--k", "4",
+                        "--tuple", TUPLE_7_9_17_18, "--format", "csv")
+        assert code == 0
+        assert out == "7,9,17,18\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["seq-to-trees", "--k", "4", "--l", "2", "--seq", "7,9,17,18",
+         "--format", "csv"],
+        ["seq-to-ballot", "--k", "3", "--seq", "3,6", "--format", "json"],
+        ["path-to-seq", "--k", "5", "--l", "3", "--path", "2,3,-4,0,2,-3,3",
+         "--format", "ascii"],
+        ["seq-to-path", "--k", "3", "--seq", "3,6", "--n", "2"],
+        ["ballot-to-seq", "--k", "3", "--word", "AAAABAAAB", "--n", "2"],
+    ])
+    def test_unused_option_rejected(self, capsys, argv):
+        code = main(["map", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_no_offset_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "seq-to-path", "--k", "3", "--seq", "3,6", "--d", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_ballot_round_trip(self, capsys):
         code, out = run(capsys, "map", "seq-to-ballot", "--k", "3", "--l", "0",
                         "--seq", "3,6")
@@ -172,6 +273,12 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is True
 
+    def test_no_offset_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--k", "3", "--n", "2", "--d", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestIdentities:
     def test_ballot_suite_with_report(self, capsys, tmp_path):
@@ -181,3 +288,11 @@ class TestIdentities:
         assert code == 0
         summary = json.loads(target.read_text())
         assert summary["all_sequences_match_raney"] is True
+
+    def test_report_without_the_ballot_suite(self, capsys, tmp_path):
+        target = tmp_path / "ballot.json"
+        code, out = run(capsys, "identities", "--suite", "identities",
+                        "--report", str(target))
+        assert code == 2
+        assert out == ""
+        assert not target.exists()

@@ -69,6 +69,11 @@ class TestFussCatalanRec:
     def test_agrees_with_closed_form(self, k, n):
         assert exactmath.fuss_catalan_rec(k, n) == exactmath.fuss_catalan(k, n)
 
+    # A recursive version ran out of stack already near n = 150.
+    @pytest.mark.parametrize("k,n", [(2, 1000), (3, 500)])
+    def test_large_n(self, k, n):
+        assert exactmath.fuss_catalan_rec(k, n) == exactmath.fuss_catalan(k, n)
+
 
 class TestRaney:
     def test_paper_values(self):
