@@ -43,8 +43,7 @@ ENUMERATORS = {
 # parsed arguments to the image, and the kind of the image.
 DIRECTIONS = {
     "seq-to-trees": ("seq", lambda a: trees.tuple_of(_parse_seq(a)), "tuple"),
-    "trees-to-seq": ("tuple", lambda a: trees.sequence_of_tuple(
-        trees.TreeTuple.from_json(a.k, a.tuple), a.n), "seq"),
+    "trees-to-seq": ("tuple", lambda a: _seq_of_tuple(a), "seq"),
     "seq-to-path": ("seq", lambda a: paths.path_of(_parse_seq(a)), "path"),
     "path-to-seq": ("path", lambda a: paths.sequence_of_path(
         paths.ExtMotzkinPath(a.k, _ints(a.path)), a.l), "seq"),
@@ -77,6 +76,15 @@ def _parse_seq(args: argparse.Namespace) -> ThresholdSequence:
     return threshold.validate(values, ThresholdParams(args.k, args.l, len(values)))
 
 
+def _seq_of_tuple(args: argparse.Namespace) -> ThresholdSequence:
+    # The tuple's length fixes l, so a nonzero --l must agree with it.
+    tup = trees.TreeTuple.from_json(args.k, args.tuple)
+    if args.l and args.l != tup.r - 1:
+        raise InvalidParameterError(
+            f"--l {args.l} disagrees with a {tup.r}-tuple (l = {tup.r - 1})")
+    return trees.sequence_of_tuple(tup, args.n)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     params = ThresholdParams(args.k, args.l, args.n, args.d)
     value = threshold.count_proper(params) if args.proper else threshold.count(params)
@@ -98,6 +106,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"--kind {args.kind} cannot emit --format {args.format}")
     if args.d and args.kind != "seq":
         raise InvalidParameterError(f"--kind {args.kind} takes no --d")
+    if args.l and args.kind == "tree":
+        raise InvalidParameterError("--kind tree takes no --l")
     write = WRITERS[args.kind][args.format]
     end = "\n\n" if args.format == "ascii" else "\n"  # a blank line between drawings
     out = sys.stdout
@@ -110,6 +120,9 @@ def cmd_map(args: argparse.Namespace) -> int:
     source, image_of, kind = DIRECTIONS[args.direction]
     if getattr(args, source) is None:
         raise InvalidParameterError(f"{args.direction} needs --{source}")
+    for other in dict.fromkeys(src for src, _, _ in DIRECTIONS.values()):
+        if other != source and getattr(args, other) is not None:
+            raise InvalidParameterError(f"{args.direction} takes no --{other}")
     if args.n is not None and args.direction != "trees-to-seq":
         raise InvalidParameterError(f"{args.direction} takes no --n")
     fmt = args.format or next(iter(WRITERS[kind]))

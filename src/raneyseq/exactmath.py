@@ -3,14 +3,31 @@
 Every function returns a plain Python int (arbitrary precision).  Closed
 forms are evaluated as integer products with an exactness check on each
 division; nothing here ever rounds.  All functions are pure and keep no
-state between calls, so concurrent callers are safe.
+state between calls, so concurrent callers are safe: nothing is cached.
+
+A large binomial is computed from its prime factorization, which needs
+only multiplications (Kummer's theorem; P. Goetgheluck, "Computing
+binomial coefficients", Amer. Math. Monthly 94, 1987).  ``math.comb``
+ends in a long division, which CPython 3.11 does in time quadratic in
+the length of the answer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import compress
 
 from .errors import InvalidParameterError
+
+# C(n, j) is factored when m = min(j, n - j) has m * m >= _FACTORED_FROM * n.
+# The factored path costs O(n) for the sieve and the primes; math.comb
+# costs about the square of the answer's length, ~ m * log(n / m) bits.
+# On a 2-vCPU machine (Python 3.11) the two took the same time between
+# m * m = 200 n and 400 n, for every n / m from 2 to 51 (m ~ 900 at
+# n = 3m, m ~ 15000 at n = 51m).  A bound on m alone would sieve up to n
+# however small m is, and be slower than math.comb when n / m is large.
+_FACTORED_FROM = 300
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -21,12 +38,58 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def binomial(n: int, j: int) -> int:
-    """Binomial coefficient C(n, j); zero outside 0 <= j <= n."""
+    """Binomial coefficient C(n, j); zero outside 0 <= j <= n.
+
+    With m = min(j, n - j), small cases (m * m < _FACTORED_FROM * n) go to
+    math.comb.  Larger ones multiply p ** e over the primes p <= n, where
+    e is the number of borrows when m is subtracted from n in base p
+    (Kummer's theorem), in a balanced product tree.  The primes are sieved
+    anew on every call; nothing is cached.
+    """
     if n < 0:
         raise InvalidParameterError("binomial requires n >= 0")
     if j < 0 or j > n:
         return 0
-    return math.comb(n, j)
+    m = min(j, n - j)
+    if m * m < _FACTORED_FROM * n:
+        return math.comb(n, j)
+    primes = _primes_upto(n)
+    small = bisect_right(primes, math.isqrt(n))
+    factors = [p ** _borrows(n, m, p) for p in primes[:small]]
+    # Above sqrt(n), n has at most two base-p digits and m <= n, so the
+    # only possible borrow is in the units digit.
+    factors += [p for p in primes[small:] if n % p < m % p]
+    return _product(factors)
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n in increasing order (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _borrows(n: int, j: int, p: int) -> int:
+    """Number of borrows when j <= n is subtracted from n in base p."""
+    count = borrow = 0
+    while j or borrow:
+        n, a = divmod(n, p)
+        j, b = divmod(j, p)
+        borrow = a < b + borrow
+        count += borrow
+    return count
+
+
+def _product(factors: list[int]) -> int:
+    """Product of the factors, multiplied pairwise in rounds, so that the
+    two operands of each multiplication have about the same length."""
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
 
 
 def fuss_catalan(k: int, n: int) -> int:

@@ -10,6 +10,7 @@ tautology.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,7 +89,7 @@ def oracle_sequences(k: int, l: int, n: int,
     mins = tuple(k * i for i in range(1, n + 1))
     found = set()
     for cand in combinations(pool, n):
-        if all(v >= m for v, m in zip(cand, mins)):
+        if all(map(operator.ge, cand, mins)):
             found.add(cand)
             if len(found) > budget:
                 raise BudgetExceededError(budget)

@@ -140,6 +140,16 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    def test_nonzero_l_for_trees(self, capsys):
+        code, out = run(capsys, "enumerate", "--k", "3", "--l", "1", "--n", "1",
+                        "--kind", "tree")
+        assert code == 2
+        assert out == ""
+        code, out = run(capsys, "enumerate", "--k", "3", "--l", "0", "--n", "1",
+                        "--kind", "tree")
+        assert code == 0
+        assert out == "[null, null, null]\n"
+
     def test_offset_for_sequences(self, capsys):
         code, out = run(capsys, "enumerate", "--k", "3", "--l", "1", "--n", "2",
                         "--d", "2", "--format", "csv")
@@ -235,6 +245,13 @@ class TestMap:
          "--format", "ascii"],
         ["seq-to-path", "--k", "3", "--seq", "3,6", "--n", "2"],
         ["ballot-to-seq", "--k", "3", "--word", "AAAABAAAB", "--n", "2"],
+        ["seq-to-path", "--k", "3", "--seq", "3,6", "--path", "9,9",
+         "--word", "B"],
+        ["path-to-seq", "--k", "3", "--path", "0,0", "--seq", "3,6"],
+        ["trees-to-seq", "--k", "3", "--tuple", "[[null, null, null]]",
+         "--word", "AB"],
+        ["trees-to-seq", "--k", "3", "--l", "1",
+         "--tuple", "[[null, null, null]]"],
     ])
     def test_unused_option_rejected(self, capsys, argv):
         code = main(["map", *argv])
@@ -243,6 +260,23 @@ class TestMap:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_input_of_another_direction_named(self, capsys):
+        code = main(["map", "seq-to-path", "--k", "3", "--seq", "3,6",
+                     "--word", "B"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seq-to-path takes no --word\n"
+
+    def test_l_agreeing_with_the_tuple(self, capsys):
+        _, plain = run(capsys, "map", "trees-to-seq", "--k", "4",
+                       "--tuple", TUPLE_7_9_17_18)
+        code, out = run(capsys, "map", "trees-to-seq", "--k", "4", "--l", "2",
+                        "--tuple", TUPLE_7_9_17_18)
+        assert code == 0
+        assert out == plain
+        assert json.loads(out)["l"] == 2
 
     def test_no_offset_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from raneyseq import exactmath
@@ -30,6 +33,61 @@ class TestBinomial:
     def test_negative_n_rejected(self):
         with pytest.raises(InvalidParameterError):
             exactmath.binomial(-1, 0)
+
+
+def _factored_from(n: int) -> int:
+    """Smallest m with m * m >= _FACTORED_FROM * n: the first min(j, n - j)
+    that binomial(n, j) computes from the prime factorization."""
+    return math.isqrt(exactmath._FACTORED_FROM * n - 1) + 1
+
+
+class TestFactoredBinomial:
+    @pytest.mark.parametrize("n", [2700, 7919, 30000])
+    def test_around_the_crossover(self, n, monkeypatch):
+        sieved = []
+        primes_upto = exactmath._primes_upto
+        monkeypatch.setattr(exactmath, "_primes_upto",
+                            lambda top: sieved.append(top) or primes_upto(top))
+        m0 = _factored_from(n)
+        for m in (m0 - 1, m0, m0 + 1):
+            expected = math.comb(n, m)
+            assert binomial_by_products(n, m) == expected
+            assert exactmath.binomial(n, m) == expected
+            assert exactmath.binomial(n, n - m) == expected
+        # math.comb below the crossover, the factorization from it on
+        assert sieved == [n] * 4
+
+    @pytest.mark.parametrize("n,j", [
+        (30000, 15000),             # central
+        (30001, 15000),
+        (20011, 13000),             # prime n, j > n / 2
+        (2 ** 14, 2 ** 13),         # a high power of 2 in n and j
+        (2 ** 14, 2 ** 13 - 1),
+        (2 ** 15, 2 ** 14 + 3),
+        (3 ** 9, 3 ** 8),
+    ])
+    def test_special_arguments(self, n, j):
+        assert min(j, n - j) >= _factored_from(n)
+        expected = math.comb(n, j)
+        assert exactmath.binomial(n, j) == expected
+        assert binomial_by_products(n, j) == expected
+
+    def test_seeded_random_grid(self):
+        rng = random.Random(20260418)
+        for _ in range(60):
+            n = rng.randrange(1, 30001)
+            j = rng.randrange(n + 1)
+            assert exactmath.binomial(n, j) == math.comb(n, j)
+
+    def test_borrows_are_kummer_exponents(self):
+        for p in (2, 3, 5, 7):
+            for n in range(60):
+                for j in range(n + 1):
+                    value, exponent = math.comb(n, j), 0
+                    while value % p == 0:
+                        value //= p
+                        exponent += 1
+                    assert exactmath._borrows(n, j, p) == exponent
 
 
 class TestFussCatalan:
@@ -93,6 +151,14 @@ class TestRaney:
     def test_invalid_r(self):
         with pytest.raises(InvalidParameterError):
             exactmath.raney(3, 0, 2)
+
+    # r * C(kn + r - 1, n) / ((k - 1) n + r) with math.comb, so the large-n
+    # answer is checked without exactmath.binomial.
+    @pytest.mark.parametrize("k,r,n", [(3, 2, 20000), (3, 4, 19999)])
+    def test_large_n(self, k, r, n):
+        expected, rem = divmod(r * math.comb(k * n + r - 1, n), (k - 1) * n + r)
+        assert rem == 0
+        assert exactmath.raney(k, r, n) == expected
 
 
 class TestRaneyConvolution:
