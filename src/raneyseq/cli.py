@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import ballot, paths, threshold, trees, verify
@@ -60,13 +59,6 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _budget(args: argparse.Namespace) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("RANEYSEQ_BUDGET")
-    return int(env) if env else verify.DEFAULT_BUDGET
-
-
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -77,16 +69,16 @@ def _parse_seq(args: argparse.Namespace) -> ThresholdSequence:
 
 
 def _seq_of_tuple(args: argparse.Namespace) -> ThresholdSequence:
-    # The tuple's length fixes l, so a nonzero --l must agree with it.
+    # The tuple's length fixes l, so a given --l must agree with it.
     tup = trees.TreeTuple.from_json(args.k, args.tuple)
-    if args.l and args.l != tup.r - 1:
+    if args.l is not None and args.l != tup.r - 1:
         raise InvalidParameterError(
             f"--l {args.l} disagrees with a {tup.r}-tuple (l = {tup.r - 1})")
     return trees.sequence_of_tuple(tup, args.n)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    params = ThresholdParams(args.k, args.l, args.n, args.d)
+    params = ThresholdParams(args.k, args.l, args.n)
     value = threshold.count_proper(params) if args.proper else threshold.count(params)
     # Lift Python's cap on int-to-str digits (from 3.10.7 on) for this answer.
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -111,7 +103,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     write = WRITERS[args.kind][args.format]
     end = "\n\n" if args.format == "ascii" else "\n"  # a blank line between drawings
     out = sys.stdout
-    for obj in ENUMERATORS[args.kind](args, _budget(args)):
+    for obj in ENUMERATORS[args.kind](args, args.budget):
         out.write(write(obj) + end)
     return 0
 
@@ -125,6 +117,8 @@ def cmd_map(args: argparse.Namespace) -> int:
             raise InvalidParameterError(f"{args.direction} takes no --{other}")
     if args.n is not None and args.direction != "trees-to-seq":
         raise InvalidParameterError(f"{args.direction} takes no --n")
+    if args.l is None and args.direction != "trees-to-seq":
+        args.l = 0  # only a tuple fixes l by itself
     fmt = args.format or next(iter(WRITERS[kind]))
     if fmt not in WRITERS[kind]:
         raise InvalidParameterError(f"{args.direction} cannot write --format {fmt}")
@@ -133,8 +127,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.check_bijections(args.k, args.l, args.n,
-                                     budget=_budget(args))
+    report = verify.check_bijections(args.k, args.l, args.n, budget=args.budget)
     sys.stdout.write(_json(report) + "\n")
     return 0 if report.passed else 1
 
@@ -164,12 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "paths with exact counts and cross-verified bijections.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n_required=True, d=True):
+    def add_common(p):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--l", type=int, default=0)
-        p.add_argument("--n", type=int, required=n_required)
-        if d:
-            p.add_argument("--d", type=int, default=0)
+        p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("count", help="print the exact sequence count")
     add_common(p)
@@ -180,14 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
     formats = sorted({fmt for kind in WRITERS.values() for fmt in kind})
     p = sub.add_parser("enumerate", help="stream objects one per line")
     add_common(p)
+    p.add_argument("--d", type=int, default=0)
     p.add_argument("--kind", choices=ENUMERATORS, default="seq")
     p.add_argument("--format", choices=formats, default="json")
-    p.add_argument("--budget", type=_nonnegative, default=None)
+    p.add_argument("--budget", type=_nonnegative, default=verify.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("map", help="map one object through a bijection")
     p.add_argument("direction", choices=DIRECTIONS)
-    add_common(p, n_required=False, d=False)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=int,
+                   help="default 0; for trees-to-seq, the tuple's length minus one")
+    p.add_argument("--n", type=int, help="trees-to-seq only")
     p.add_argument("--seq", help="comma-separated sequence values")
     p.add_argument("--tuple", help="JSON tree-tuple encoding")
     p.add_argument("--path", help="comma-separated rises")
@@ -197,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("verify", help="run the bijection suite for one cell")
-    add_common(p, d=False)
-    p.add_argument("--budget", type=_nonnegative, default=None)
+    add_common(p)
+    p.add_argument("--budget", type=_nonnegative, default=verify.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identities", help="run the exact identity suites")
@@ -217,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except RaneyseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
 

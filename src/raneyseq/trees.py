@@ -90,6 +90,9 @@ class KaryTree:
         stack = [data]
         while stack:
             node = stack.pop()
+            if node is not None and not isinstance(node, list):
+                raise InvalidParameterError(
+                    f"a tree node is null or a list, got {node!r}")
             if node is not None and len(node) != k:
                 raise InvalidParameterError(
                     f"internal node needs exactly {k} children")
@@ -132,6 +135,8 @@ class TreeTuple:
     def from_json(cls, k: int, data) -> "TreeTuple":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, list):
+            raise InvalidParameterError(f"a tree tuple is a list, got {data!r}")
         return cls(k, tuple(KaryTree.from_json(k, entry) for entry in data))
 
 
@@ -192,48 +197,44 @@ def internal_labels(tree: KaryTree, w: int) -> list[int]:
     return [w - p for p in _positions_of(tree.k, tree.word)]
 
 
-def _forest_with_levels(seq: ThresholdSequence) -> list[tuple[KaryTree, int]]:
-    """Trees A^1, A^2, ... with the level l_p of each residual prefix Q_p."""
+def tuple_of(seq: ThresholdSequence) -> TreeTuple:
+    """Tuple(S): split S at successive cut indices, right to left.  The
+    piece after the p-th cut is the tree A^p; it goes to position l_p + 1,
+    where l_p is the level of the residual prefix Q_p before the cut.
+    Every other position holds the trivial tree."""
     if seq.d != 0:
         raise InvalidParameterError("forest construction requires offset 0")
     k = seq.k
     values = seq.values
-    out: list[tuple[KaryTree, int]] = []
+    entries = [trivial(k)] * (seq.l + 1)
+    prev_level = seq.l + 1
     while values:
         # The piece after the cut index holds only reachable labels.
         cut = cut_of(values, k)
         last = values[-1]
+        level = last - k * len(values)
+        assert 0 <= level < prev_level, "residual levels must strictly decrease"
         word = _word_of(k, [last - v for v in reversed(values[cut:])])
-        out.append((KaryTree._of(k, word), last - k * len(values)))
+        entries[level] = KaryTree._of(k, word)
+        prev_level = level
         values = values[:cut]
-    return out
+    return TreeTuple(k, tuple(entries))
 
 
 def forest_of(seq: ThresholdSequence) -> list[KaryTree]:
-    """Forest(S): split at successive cut indices, one tree per piece."""
-    return [tree for tree, _ in _forest_with_levels(seq)]
-
-
-def tuple_of(seq: ThresholdSequence) -> TreeTuple:
-    """Tuple(S): the (l+1)-tuple with A^p at position l_p + 1 and the
-    trivial tree elsewhere."""
-    pairs = _forest_with_levels(seq)
-    entries = [trivial(seq.k)] * (seq.l + 1)
-    prev_level = seq.l + 1
-    for tree, level in pairs:
-        assert 0 <= level < prev_level, "residual levels must strictly decrease"
-        entries[level] = tree
-        prev_level = level
-    return TreeTuple(seq.k, tuple(entries))
+    """Forest(S): the trees A^1, A^2, ... of the successive pieces, which
+    are the non-trivial entries of Tuple(S) read right to left."""
+    return [tree for tree in reversed(tuple_of(seq).trees) if not tree.is_leaf]
 
 
 def sequence_of_tuple(t: TreeTuple, n: int | None = None) -> ThresholdSequence:
     """Inverse of tuple_of.
 
-    Labels the non-trivial entry at position y_p (scanning positions right
-    to left) as a w_p-tree with w_p = k*(n - r_{p-1}) + y_p - 1, where
-    r_p accumulates internal-node counts, and concatenates the increasing
-    internal-label runs I_t ... I_1.
+    Scanning positions y right to left, labels each non-trivial entry as a
+    w-tree with w = k*(n - r) + y - 1, where r counts the internal nodes of
+    the entries already scanned.  The labels of each entry, read in BFS
+    order, decrease, and every one of them exceeds those of the entries to
+    its left; so the whole scan yields the sequence in decreasing order.
     """
     total = t.internal_total
     if total == 0:
@@ -244,17 +245,12 @@ def sequence_of_tuple(t: TreeTuple, n: int | None = None) -> ThresholdSequence:
         raise InvalidParameterError(
             f"tuple has {total} internal nodes, expected {n}")
     k = t.k
-    nontrivial = [(pos, tree) for pos, tree in enumerate(t.trees, start=1)
-                  if not tree.is_leaf]
-    nontrivial.sort(key=lambda item: -item[0])
-    segments: list[list[int]] = []
-    r_prev = 0
-    for y, tree in nontrivial:
-        w = k * (n - r_prev) + y - 1
-        segments.append(sorted(internal_labels(tree, w)))
-        r_prev += tree.internal_count
-    values = list(itertools.chain.from_iterable(reversed(segments)))
-    return validate(values, ThresholdParams(k, t.r - 1, n))
+    descending: list[int] = []
+    for y in range(t.r, 0, -1):
+        tree = t.trees[y - 1]
+        if not tree.is_leaf:
+            descending += internal_labels(tree, k * (n - len(descending)) + y - 1)
+    return validate(descending[::-1], ThresholdParams(k, t.r - 1, n))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -302,10 +298,10 @@ def enumerate_tuples(k: int, r: int, n: int,
                        *(_all_trees(k, j) for j in comp))), budget)
 
 
-def to_dot(tree: KaryTree, w: int | None = None, name: str = "karytree") -> str:
+def to_dot(tree: KaryTree, w: int | None = None) -> str:
     """DOT text for a tree, nodes numbered by BFS position; with w given,
     nodes show their w-labeling."""
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    lines = ["digraph karytree {", "  node [shape=circle];"]
     rank = {p: j for j, p in enumerate(_positions_of(tree.k, tree.word))}
     for p in range(tree.node_count):
         text = "" if w is None else str(w - p)

@@ -30,6 +30,13 @@ class TestCount:
         code, _ = run(capsys, "count", "--k", "3", "--l", "2", "--n", "2")
         assert code == 2
 
+    def test_no_offset_option(self, capsys):
+        # no count depends on d
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--k", "3", "--l", "1", "--n", "2", "--d", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no cap on int-to-str digits before 3.10.7")
     def test_answer_longer_than_the_int_to_str_cap(self, capsys):
@@ -92,6 +99,12 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--k", "2", "--l", "0", "--n", "6",
                       "--budget", "3")
         assert code == 2
+
+    def test_budget_read_only_from_the_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("RANEYSEQ_BUDGET", "1")
+        code, out = run(capsys, "enumerate", "--k", "2", "--n", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 5
 
     def test_negative_budget_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -252,9 +265,19 @@ class TestMap:
          "--word", "AB"],
         ["trees-to-seq", "--k", "3", "--l", "1",
          "--tuple", "[[null, null, null]]"],
+        ["trees-to-seq", "--k", "4", "--l", "0", "--tuple", TUPLE_7_9_17_18],
     ])
     def test_unused_option_rejected(self, capsys, argv):
         code = main(["map", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["null", "5", "[5]", "[[1,2,3]]"])
+    def test_malformed_tuple(self, capsys, text):
+        code = main(["map", "trees-to-seq", "--k", "3", "--tuple", text])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

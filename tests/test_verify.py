@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from raneyseq import exactmath, threshold, verify
+from raneyseq import exactmath, paths, threshold, trees, verify
 from raneyseq.errors import BudgetExceededError
 from raneyseq.threshold import ThresholdParams
 from raneyseq.verify import Cell, VerifyReport
@@ -104,6 +104,36 @@ class TestBijectionSuite:
         counts = {c.params["check"]: c for c in report.cells}
         assert counts["tuple-injective"].expected == 14
         assert counts["path-injective"].expected == 14
+
+    # The cells of a passing report, as recorded before each codomain was
+    # streamed against its image set.
+    @pytest.mark.parametrize("k,l,n,count", [(3, 1, 3, 30), (4, 2, 3, 91)])
+    def test_passing_cells_pinned(self, k, l, n, count):
+        cells = verify.check_bijections(k, l, n).to_json()["cells"]
+        assert cells == [
+            {"params": {"check": check, "k": k, "l": l, "n": n},
+             "expected": str(value), "observed": str(value), "pass": True}
+            for check, value in [("roundtrips", count),
+                                 ("tuple-injective", count),
+                                 ("tuple-surjective", 0),
+                                 ("path-injective", count),
+                                 ("path-surjective", 0)]]
+
+    @pytest.mark.parametrize("edit", ["repeat", "drop"])
+    @pytest.mark.parametrize("module,name,check", [
+        (trees, "enumerate_tuples", "tuple-surjective"),
+        (paths, "enumerate_paths", "path-surjective")])
+    def test_codomain_repeating_or_dropping_an_object(
+            self, monkeypatch, module, name, check, edit):
+        original = getattr(module, name)
+
+        def edited(*args, **kwargs):
+            found = list(original(*args, **kwargs))
+            return iter(found + found[:1] if edit == "repeat" else found[1:])
+        monkeypatch.setattr(module, name, edited)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params["check"], c.expected, c.observed)
+                for c in report.failures] == [(check, 0, 1)]
 
 
 class TestBallotClaim:
