@@ -86,6 +86,11 @@ class KaryTree:
     def from_json(cls, k: int, data) -> KaryTree:
         if isinstance(data, str):
             data = json.loads(data)
+        return cls._of_json(k, data)
+
+    @classmethod
+    def _of_json(cls, k: int, data) -> KaryTree:
+        """The tree of a decoded JSON encoding (a text node is malformed)."""
         word = bytearray()
         stack = [data]
         while stack:
@@ -137,7 +142,7 @@ class TreeTuple:
             data = json.loads(data)
         if not isinstance(data, list):
             raise InvalidParameterError(f"a tree tuple is a list, got {data!r}")
-        return cls(k, tuple(KaryTree.from_json(k, entry) for entry in data))
+        return cls(k, tuple(KaryTree._of_json(k, entry) for entry in data))
 
 
 def _child_positions(k: int, j: int) -> range:

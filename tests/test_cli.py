@@ -275,7 +275,8 @@ class TestMap:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["null", "5", "[5]", "[[1,2,3]]"])
+    @pytest.mark.parametrize("text", ["null", "5", "[5]", "[[1,2,3]]",
+                                      '["[null, null, null]"]'])
     def test_malformed_tuple(self, capsys, text):
         code = main(["map", "trees-to-seq", "--k", "3", "--tuple", text])
         captured = capsys.readouterr()
