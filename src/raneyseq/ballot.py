@@ -52,7 +52,9 @@ def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:
     if not letters.startswith("A") or not letters.endswith("B"):
         raise MalformedWordError("word must start with A and end with B")
     blocks = letters[1:-1].split("B")
-    if any(not block or set(block) != {"A"} for block in blocks):
+    # BallotWord admits only A and B, so every block between two B's is a
+    # run of A's, and only an empty one is malformed.
+    if "" in blocks:
         raise MalformedWordError("every B must follow a non-empty run of A's")
     values = list(accumulate(len(block) for block in blocks))
     return validate(values, ThresholdParams(k, l, len(values)))

@@ -9,7 +9,9 @@ It is proper when s_n hits the upper bound exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -86,18 +88,33 @@ def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequenc
     """Check the defining inequalities and return the typed sequence.
 
     Raises NotIncreasingError or BoundViolationError at the first
-    offending (1-based) index.
+    offending (1-based) index; at one index, NotIncreasingError first.
     """
     values = tuple(values)
-    if len(values) != params.n:
+    n = len(values)
+    if n != params.n:
         raise InvalidParameterError(
-            f"expected {params.n} values, got {len(values)}")
-    for i, v in enumerate(values, start=1):
-        if i > 1 and v <= values[i - 2]:
-            raise NotIncreasingError(i)
-        if not params.lower(i) <= v <= params.upper:
-            raise BoundViolationError(i, v)
+            f"expected {params.n} values, got {n}")
+    k, d = params.k, params.d
+    # One comparison row per inequality, a 0 byte where it fails: byte i
+    # of rises compares values i and i + 1 (from 0), of the bound rows
+    # value i with its bound.
+    rises = bytes(map(operator.lt, values, values[1:]))
+    above = bytes(map(operator.le, range(k + d, k * n + d + 1, k), values))
+    below = bytes(map(operator.le, values, itertools.repeat(params.upper)))
+    if 0 in rises or 0 in above or 0 in below:
+        fall = _first_zero(rises, n - 1) + 1
+        out = min(_first_zero(above, n), _first_zero(below, n))
+        if fall <= out:
+            raise NotIncreasingError(fall + 1)
+        raise BoundViolationError(out + 1, values[out])
     return ThresholdSequence(params, values)
+
+
+def _first_zero(row: bytes, n: int) -> int:
+    """Index of the first 0 byte of a comparison row, n if there is none."""
+    i = row.find(0)
+    return n if i < 0 else i
 
 
 def is_proper(seq: ThresholdSequence) -> bool:

@@ -1,11 +1,16 @@
 """k-ary trees, w-tree labelings, and the threshold-sequence bijection.
 
 A k-ary tree is a single leaf (the trivial tree) or an internal node with
-k ordered subtrees, stored as its preorder word: one byte per node, 1
-internal and 0 leaf.  The w-labeling gives the node at breadth-first
-(BFS) position p the label w - p; only _child_positions, _word_of and
-_positions_of know the BFS layout.  tuple_of/sequence_of_tuple realize the
-bijection between (k,l)-threshold sequences and (l+1)-tuples of trees.
+k ordered subtrees, stored as its level-order word: the node at
+breadth-first (BFS) position p is byte p, 1 internal and 0 leaf.  The
+children of the j-th internal node (from 0) sit at positions jk+1 ... jk+k.
+Level-order words of k-ary trees are the Lukasiewicz words, as preorder
+words are (Knuth, TAOCP 1, 2.3.3).
+
+The w-labeling gives the node at position p the label w - p, so the word
+of a w-tree is its set of internal labels, and tuple_of/sequence_of_tuple,
+which realize the bijection between (k,l)-threshold sequences and
+(l+1)-tuples of trees, are index arithmetic.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyTupleError,
@@ -38,12 +42,12 @@ class KaryTree:
         if any(child.k != k for child in children):
             raise InvalidParameterError("child arity mismatch")
         self.k = k
-        self.word = (b"\x01" + b"".join(c.word for c in children)
+        self.word = (b"".join(_join([_levels(k, c.word) for c in children]))
                      if children else b"\x00")
 
     @classmethod
     def _of(cls, k: int, word: bytes) -> KaryTree:
-        """The tree of a word already known to be a k-ary preorder word."""
+        """The tree of a word already known to be a k-ary level-order word."""
         if k < 2:
             raise InvalidParameterError("arity k must be >= 2")
         tree = cls.__new__(cls)
@@ -77,10 +81,14 @@ class KaryTree:
 
     def to_json(self):
         """Leaf -> None, internal node -> list of k child encodings."""
-        stack: list = []
-        for bit in reversed(self.word):
-            stack.append([stack.pop() for _ in range(self.k)] if bit else None)
-        return stack[0]
+        k = self.k
+        nodes = [None] * len(self.word)
+        internal = list(itertools.compress(itertools.count(), self.word))
+        # Children sit after their parent, so reverse BFS order builds
+        # every child before its parent.
+        for j in range(len(internal) - 1, -1, -1):
+            nodes[internal[j]] = nodes[j * k + 1:j * k + k + 1]
+        return nodes[0]
 
     @classmethod
     def from_json(cls, k: int, data) -> KaryTree:
@@ -92,9 +100,8 @@ class KaryTree:
     def _of_json(cls, k: int, data) -> KaryTree:
         """The tree of a decoded JSON encoding (a text node is malformed)."""
         word = bytearray()
-        stack = [data]
-        while stack:
-            node = stack.pop()
+        nodes = [data]
+        for node in nodes:  # grows as it is read: a BFS queue
             if node is not None and not isinstance(node, list):
                 raise InvalidParameterError(
                     f"a tree node is null or a list, got {node!r}")
@@ -102,7 +109,7 @@ class KaryTree:
                 raise InvalidParameterError(
                     f"internal node needs exactly {k} children")
             word.append(node is not None)
-            stack.extend(reversed(node or ()))
+            nodes += node or ()
         return cls._of(k, bytes(word))
 
 
@@ -145,37 +152,22 @@ class TreeTuple:
         return cls(k, tuple(KaryTree._of_json(k, entry) for entry in data))
 
 
-def _child_positions(k: int, j: int) -> range:
-    """BFS positions of the children of the j-th internal node (from 0)."""
-    return range(j * k + 1, j * k + k + 1)
+def _levels(k: int, word: bytes) -> list[bytes]:
+    """The levels of a level-order word: the nodes of each depth."""
+    levels: list[bytes] = []
+    start, width = 0, 1
+    while start < len(word):
+        levels.append(word[start:start + width])
+        start += width
+        width = k * levels[-1].count(1)
+    return levels
 
 
-def _word_of(k: int, positions: Sequence[int]) -> bytes:
-    """Preorder word of the tree whose internal nodes sit at the given
-    increasing BFS positions, the root at 0."""
-    rank = {p: j for j, p in enumerate(positions)}
-    word = bytearray()
-    stack = [0]
-    while stack:
-        j = rank.get(stack.pop())
-        word.append(j is not None)
-        if j is not None:
-            stack.extend(reversed(_child_positions(k, j)))
-    return bytes(word)
-
-
-def _positions_of(k: int, word: bytes) -> list[int]:
-    """BFS positions of the internal nodes of a preorder word, increasing.
-    BFS order is preorder stably sorted by depth."""
-    depths: list[int] = []
-    pending = [0]  # depths of the nodes still to be read, next one last
-    for bit in word:
-        depth = pending.pop()
-        depths.append(depth)
-        if bit:
-            pending.extend((depth + 1,) * k)
-    bfs = sorted(range(len(word)), key=depths.__getitem__)
-    return [p for p, i in enumerate(bfs) if word[i]]
+def _join(child_levels: Sequence[Sequence[bytes]]) -> tuple[bytes, ...]:
+    """The levels of an internal node whose children have these levels:
+    depth d + 1 holds the children's depths d, left to right."""
+    return (b"\x01", *map(b"".join, itertools.zip_longest(
+        *child_levels, fillvalue=b"")))
 
 
 def build_from_internal_labels(k: int, w: int,
@@ -191,15 +183,18 @@ def build_from_internal_labels(k: int, w: int,
         raise InvalidParameterError("labels must be distinct")
     if not ordered or ordered[0] != w:
         raise InvalidParameterError("largest label must equal w")
-    for j, label in enumerate(ordered, start=1):
-        if label < w - (j - 1) * k:
+    word = bytearray(k * len(ordered) + 1)
+    for j, label in enumerate(ordered):
+        if label < w - j * k:
             raise UnreachableLabelError(label)
-    return KaryTree._of(k, _word_of(k, [w - label for label in ordered]))
+        word[w - label] = 1
+    return KaryTree._of(k, bytes(word))
 
 
 def internal_labels(tree: KaryTree, w: int) -> list[int]:
     """Labels of the internal nodes under the w-labeling, in BFS order."""
-    return [w - p for p in _positions_of(tree.k, tree.word)]
+    return list(itertools.compress(range(w, w - len(tree.word), -1),
+                                   tree.word))
 
 
 def tuple_of(seq: ThresholdSequence) -> TreeTuple:
@@ -219,8 +214,10 @@ def tuple_of(seq: ThresholdSequence) -> TreeTuple:
         last = values[-1]
         level = last - k * len(values)
         assert 0 <= level < prev_level, "residual levels must strictly decrease"
-        word = _word_of(k, [last - v for v in reversed(values[cut:])])
-        entries[level] = KaryTree._of(k, word)
+        word = bytearray(k * (len(values) - cut) + 1)
+        for v in values[cut:]:
+            word[last - v] = 1
+        entries[level] = KaryTree._of(k, bytes(word))
         prev_level = level
         values = values[:cut]
     return TreeTuple(k, tuple(entries))
@@ -252,9 +249,8 @@ def sequence_of_tuple(t: TreeTuple, n: int | None = None) -> ThresholdSequence:
     k = t.k
     descending: list[int] = []
     for y in range(t.r, 0, -1):
-        tree = t.trees[y - 1]
-        if not tree.is_leaf:
-            descending += internal_labels(tree, k * (n - len(descending)) + y - 1)
+        descending += internal_labels(t.trees[y - 1],
+                                      k * (n - len(descending)) + y - 1)
     return validate(descending[::-1], ThresholdParams(k, t.r - 1, n))
 
 
@@ -267,19 +263,50 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _all_trees(k: int, n: int) -> tuple[KaryTree, ...]:
-    return tuple(_iter_trees(k, n))
+def _products(total: int, parts: int, stored: Sequence[Sequence],
+              stream: Callable[[], Iterable]) -> Iterator[tuple]:
+    """For each composition of total into parts, in lexicographic order,
+    the product of the items of each part's size, the last part fastest.
+    stored[j] holds the items of size j for every size below total; a part
+    equal to total has only size-0 parts beside it, so unless stored holds
+    that size too, its items come from stream() afresh each time."""
+    for comp in _compositions(total, parts):
+        if max(comp) < len(stored):
+            yield from itertools.product(*(stored[j] for j in comp))
+            continue
+        entries = [stored[0][0]] * parts
+        i = comp.index(total)
+        for entries[i] in stream():
+            yield tuple(entries)
+
+
+def _level_tuples(k: int, n: int, below: Sequence[Sequence]) -> Iterator:
+    """The levels of each tree with n internal nodes, in enumeration order,
+    from `below`, the levels of the trees of each size up to n - 2 or more."""
+    if n == 0:
+        return iter([(b"\x00",)])
+    return map(_join, _products(n - 1, k, below,
+                                lambda: _level_tuples(k, n - 1, below)))
+
+
+def _levels_below(k: int, n: int) -> list[list[tuple[bytes, ...]]]:
+    """The levels of the trees of each size up to n - 2 (size 0 at least),
+    which is what _level_tuples needs for size n.  Equal level bytes are
+    shared: the deep levels are mostly the same few bytes."""
+    share = {}.setdefault
+    below: list[list[tuple[bytes, ...]]] = []
+    for m in range(max(n - 1, 1)):
+        below.append([tuple(map(share, levels, levels))
+                      for levels in _level_tuples(k, m, below)])
+    return below
+
+
+def _trees(k: int, levels: Iterable[Sequence[bytes]]) -> Iterator[KaryTree]:
+    return map(KaryTree._of, itertools.repeat(k), map(b"".join, levels))
 
 
 def _iter_trees(k: int, n: int) -> Iterator[KaryTree]:
-    if n == 0:
-        yield KaryTree(k)
-        return
-    for comp in _compositions(n - 1, k):
-        for kids in itertools.product(*(_all_trees(k, j) for j in comp)):
-            # The cached children are valid words already.
-            yield KaryTree._of(k, b"\x01" + b"".join([kid.word for kid in kids]))
+    yield from _trees(k, _level_tuples(k, n, _levels_below(k, n)))
 
 
 def enumerate_trees(k: int, n: int,
@@ -291,29 +318,49 @@ def enumerate_trees(k: int, n: int,
     return capped(_iter_trees(k, n), budget)
 
 
+def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
+    if r == 1:
+        for tree in _iter_trees(k, n):
+            yield TreeTuple(k, (tree,))
+        return
+    below = _levels_below(k, n)
+    by_size = [list(_trees(k, _level_tuples(k, m, below)))
+               for m in range(max(n, 1))]
+
+    def top() -> Iterator[KaryTree]:
+        # The first composition, (0, ..., 0, n), streams the trees of size
+        # n; the later ones find them in by_size.
+        trees = []
+        for tree in _trees(k, _level_tuples(k, n, below)):
+            trees.append(tree)
+            yield tree
+        by_size.append(trees)
+
+    for entries in _products(n, r, by_size, top):
+        yield TreeTuple(k, entries)
+
+
 def enumerate_tuples(k: int, r: int, n: int,
                      budget: int | None = None) -> Iterator[TreeTuple]:
     """Yield all ordered r-tuples of k-ary trees with n internal nodes in
     total, each exactly once."""
     if k < 2 or r < 1 or n < 0:
         raise InvalidParameterError("need k >= 2, r >= 1 and n >= 0")
-    return capped((TreeTuple(k, trees)
-                   for comp in _compositions(n, r)
-                   for trees in itertools.product(
-                       *(_all_trees(k, j) for j in comp))), budget)
+    return capped(_iter_tuples(k, r, n), budget)
 
 
 def to_dot(tree: KaryTree, w: int | None = None) -> str:
     """DOT text for a tree, nodes numbered by BFS position; with w given,
     nodes show their w-labeling."""
     lines = ["digraph karytree {", "  node [shape=circle];"]
-    rank = {p: j for j, p in enumerate(_positions_of(tree.k, tree.word))}
-    for p in range(tree.node_count):
+    k, j = tree.k, 0
+    for p, bit in enumerate(tree.word):
         text = "" if w is None else str(w - p)
-        j = rank.get(p)
-        shape = "point" if j is None else "circle"
+        shape = "circle" if bit else "point"
         lines.append(f'  n{p} [label="{text}", shape={shape}];')
-        if j is not None:
-            lines.extend(f"  n{p} -> n{c};" for c in _child_positions(tree.k, j))
+        if bit:
+            lines.extend(f"  n{p} -> n{c};"
+                         for c in range(j * k + 1, j * k + k + 1))
+            j += 1
     lines.append("}")
     return "\n".join(lines)

@@ -47,7 +47,8 @@ class TestFromBallot:
     def test_two_blocks(self):
         assert ballot.from_ballot(BallotWord(3, "AAAABAAAB"), 3, 0).values == (3, 6)
 
-    @pytest.mark.parametrize("letters", ["AABB", "BAAB", "AAABA", "A", ""])
+    @pytest.mark.parametrize("letters", ["AABB", "BAAB", "AAABA", "A", "",
+                                         "AAABBAB"])
     def test_malformed(self, letters):
         with pytest.raises(MalformedWordError):
             ballot.from_ballot(BallotWord(3, letters), 3, 0)

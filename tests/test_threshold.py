@@ -53,6 +53,54 @@ class TestValidate:
         with pytest.raises(InvalidParameterError):
             threshold.validate((3, 6), ThresholdParams(3, 0, 3))
 
+    @staticmethod
+    def reference_failure(values, params):
+        """The first failure as the defining inequalities read, one index
+        at a time: (error type, index, value), or None if valid."""
+        for i, v in enumerate(values, start=1):
+            if i > 1 and v <= values[i - 2]:
+                return NotIncreasingError, i, None
+            if not params.k * i + params.d <= v <= \
+                    params.k * params.n + params.l + params.d:
+                return BoundViolationError, i, v
+        return None
+
+    @staticmethod
+    def mutations(values, upper):
+        """Each value lowered and raised by one, swapped with its successor,
+        made equal to the last value, and replaced by values below the
+        lower bound (s_1 - 1, 0, -5) or above the upper one."""
+        for i in range(len(values)):
+            for new in (values[i] - 1, values[i] + 1, values[0] - 1, 0,
+                        upper + 1, values[-1], -5, upper + 7):
+                yield values[:i] + (new,) + values[i + 1:]
+            if i + 1 < len(values):
+                yield values[:i] + (values[i + 1], values[i]) + values[i + 2:]
+
+    @pytest.mark.parametrize("k,l,n,d", [(3, 1, 6, 0), (2, 0, 1, 0),
+                                         (4, 2, 5, 0), (3, 0, 4, 2),
+                                         (5, 3, 1, -1)])
+    def test_first_failure_matches_reference(self, k, l, n, d):
+        params = ThresholdParams(k, l, n, d)
+        checked = 0
+        for seq in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            values = tuple(v + d for v in seq.values)
+            for mutated in self.mutations(values, params.upper):
+                expected = self.reference_failure(mutated, params)
+                if expected is None:
+                    valid = threshold.validate(mutated, params)
+                    assert valid.values == mutated
+                    continue
+                kind, index, value = expected
+                with pytest.raises(kind) as exc:
+                    threshold.validate(mutated, params)
+                assert type(exc.value) is kind
+                assert exc.value.index == index
+                if kind is BoundViolationError:
+                    assert exc.value.value == value
+                checked += 1
+        assert checked > 0
+
     def test_json_round_trip(self):
         seq = threshold.validate(S2, ThresholdParams(3, 1, 6))
         assert threshold.ThresholdSequence.from_json(seq.to_json()) == seq

@@ -1,4 +1,5 @@
 import hashlib
+from collections import deque
 
 import pytest
 
@@ -36,6 +37,35 @@ class TestKaryTree:
     def test_json_round_trip(self):
         tree = trees.build_from_internal_labels(4, 16, [16, 14, 12, 7])
         assert KaryTree.from_json(4, tree.to_json()) == tree
+
+
+class TestLevelOrderWord:
+    """A tree is stored as its level-order word: byte p is 1 iff the node
+    at breadth-first position p is internal."""
+
+    @staticmethod
+    def bfs_word(data) -> bytes:
+        word, queue = bytearray(), deque([data])
+        while queue:
+            node = queue.popleft()
+            word.append(node is not None)
+            queue.extend(node or ())
+        return bytes(word)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_small_tree(self, k):
+        for n in range(7):
+            for tree in trees.enumerate_trees(k, n):
+                data = tree.to_json()
+                assert tree.word == self.bfs_word(data)
+                assert KaryTree(k, tree.children) == tree
+                assert KaryTree.from_json(k, data) == tree
+
+    def test_figure_2a_word(self):
+        tree = trees.build_from_internal_labels(4, 16, [16, 14, 12, 7])
+        # labels 16, 14, 12, 7 sit at positions 0, 2, 4, 9
+        assert tree.word == bytes(1 if p in (0, 2, 4, 9) else 0
+                                  for p in range(17))
 
 
 class TestBuildFromInternalLabels:
