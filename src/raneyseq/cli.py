@@ -26,8 +26,9 @@ WRITERS = {
     "seq": {"json": _json, "csv": lambda seq: ",".join(map(str, seq.values))},
     "path": {"json": _json, "csv": lambda path: ",".join(map(str, path.rises)),
              "ascii": lambda path: paths.render_ascii(path)},
-    "tree": {"json": _json, "dot": lambda tree: trees.to_dot(tree)},
-    "tuple": {"json": _json},
+    "tree": {"json": lambda tree: tree.json_text(),
+             "dot": lambda tree: trees.to_dot(tree)},
+    "tuple": {"json": lambda t: t.json_text()},
     "word": {"text": lambda word: word.letters},
 }
 # Each kind `enumerate` streams, and its objects given (args, budget).

@@ -95,20 +95,25 @@ def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequenc
     if n != params.n:
         raise InvalidParameterError(
             f"expected {params.n} values, got {n}")
-    k, d = params.k, params.d
+    k, d, upper = params.k, params.d, params.upper
+    lowers = range(k + d, k * n + d + 1, k)
+    # Strict increase bounds every value by the last, so only the last is
+    # compared with the upper bound.
+    if (all(map(operator.lt, values, values[1:]))
+            and all(map(operator.le, lowers, values))
+            and (not values or values[-1] <= upper)):
+        return ThresholdSequence(params, values)
     # One comparison row per inequality, a 0 byte where it fails: byte i
     # of rises compares values i and i + 1 (from 0), of the bound rows
     # value i with its bound.
     rises = bytes(map(operator.lt, values, values[1:]))
-    above = bytes(map(operator.le, range(k + d, k * n + d + 1, k), values))
-    below = bytes(map(operator.le, values, itertools.repeat(params.upper)))
-    if 0 in rises or 0 in above or 0 in below:
-        fall = _first_zero(rises, n - 1) + 1
-        out = min(_first_zero(above, n), _first_zero(below, n))
-        if fall <= out:
-            raise NotIncreasingError(fall + 1)
-        raise BoundViolationError(out + 1, values[out])
-    return ThresholdSequence(params, values)
+    above = bytes(map(operator.le, lowers, values))
+    below = bytes(map(operator.le, values, itertools.repeat(upper)))
+    fall = _first_zero(rises, n - 1) + 1
+    out = min(_first_zero(above, n), _first_zero(below, n))
+    if fall <= out:
+        raise NotIncreasingError(fall + 1)
+    raise BoundViolationError(out + 1, values[out])
 
 
 def _first_zero(row: bytes, n: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyTupleError,
@@ -81,19 +81,30 @@ class KaryTree:
 
     def to_json(self):
         """Leaf -> None, internal node -> list of k child encodings."""
+        return self._fold(None, list)
+
+    def json_text(self) -> str:
+        """The text json.dumps(self.to_json()) writes, at any depth."""
+        return self._fold("null", lambda kids: "[" + ", ".join(kids) + "]")
+
+    def _fold(self, leaf, node):
+        """The value of the tree bottom up: leaf at each leaf, node(the
+        list of the k children's values) at each internal node."""
         k = self.k
-        nodes = [None] * len(self.word)
-        internal = list(itertools.compress(itertools.count(), self.word))
-        # Children sit after their parent, so reverse BFS order builds
-        # every child before its parent.
-        for j in range(len(internal) - 1, -1, -1):
-            nodes[internal[j]] = nodes[j * k + 1:j * k + k + 1]
-        return nodes[0]
+        values = [leaf] * len(self.word)
+        # In reverse BFS order the children of each internal node are the
+        # last k values held, and every child comes before its parent.
+        for p in reversed(list(itertools.compress(itertools.count(),
+                                                  self.word))):
+            kids = values[-k:]
+            del values[-k:]
+            values[p] = node(kids)
+        return values[0]
 
     @classmethod
     def from_json(cls, k: int, data) -> KaryTree:
         if isinstance(data, str):
-            data = json.loads(data)
+            data = _loads(data)
         return cls._of_json(k, data)
 
     @classmethod
@@ -143,13 +154,59 @@ class TreeTuple:
     def to_json(self) -> list:
         return [tree.to_json() for tree in self.trees]
 
+    def json_text(self) -> str:
+        """The text json.dumps(self.to_json()) writes, at any depth."""
+        return "[" + ", ".join(tree.json_text() for tree in self.trees) + "]"
+
     @classmethod
     def from_json(cls, k: int, data) -> "TreeTuple":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = _loads(data)
         if not isinstance(data, list):
             raise InvalidParameterError(f"a tree tuple is a list, got {data!r}")
         return cls(k, tuple(KaryTree._of_json(k, entry) for entry in data))
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _loads(text: str):
+    """json.loads(text), reading arrays with a stack rather than recursion:
+    the same value, or the same JSONDecodeError, at any depth."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    skip = json.decoder.WHITESPACE.match
+    arrays: list[list] = []  # the arrays open at end, innermost last
+    end = skip(text, 0).end()
+    while True:
+        if text.startswith("[", end):
+            end = skip(text, end + 1).end()
+            if not text.startswith("]", end):
+                arrays.append([])
+                continue
+            value, end = [], end + 1
+        else:
+            try:
+                value, end = _DECODER.scan_once(text, end)
+            except StopIteration as err:
+                raise json.JSONDecodeError(
+                    "Expecting value", text, err.value) from None
+        while arrays:  # value ends an item of the innermost open array
+            arrays[-1].append(value)
+            end = skip(text, end).end()
+            if text.startswith(",", end):
+                end = skip(text, end + 1).end()
+                break
+            if not text.startswith("]", end):
+                raise json.JSONDecodeError(
+                    "Expecting ',' delimiter", text, end)
+            value, end = arrays.pop(), end + 1
+        else:
+            end = skip(text, end).end()
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+            return value
 
 
 def _levels(k: int, word: bytes) -> list[bytes]:
@@ -255,58 +312,51 @@ def sequence_of_tuple(t: TreeTuple, n: int | None = None) -> ThresholdSequence:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts, in lexicographic order: those
+    of the parts - 1 bars among total + parts - 1 places, in that order."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
-def _products(total: int, parts: int, stored: Sequence[Sequence],
-              stream: Callable[[], Iterable]) -> Iterator[tuple]:
-    """For each composition of total into parts, in lexicographic order,
-    the product of the items of each part's size, the last part fastest.
-    stored[j] holds the items of size j for every size below total; a part
-    equal to total has only size-0 parts beside it, so unless stored holds
-    that size too, its items come from stream() afresh each time."""
-    for comp in _compositions(total, parts):
-        if max(comp) < len(stored):
-            yield from itertools.product(*(stored[j] for j in comp))
-            continue
-        entries = [stored[0][0]] * parts
-        i = comp.index(total)
-        for entries[i] in stream():
-            yield tuple(entries)
+def _tree_words(k: int, n: int, table: list) -> Iterator[bytes]:
+    """The words of the trees with n internal nodes, ordered by the
+    lexicographic child internal-count composition, the last child fastest.
+
+    The first composition of a size m, (0, ..., 0, m - 1), wraps each tree
+    of size m - 1 under a root whose other children are leaves: its word
+    gains a prefix of 1 and k - 1 zeros.  So size n is the wraps of the
+    largest size in table, then for each larger size m the (n - m)-fold
+    wraps of the trees of its later compositions.  Those read table[m], the
+    levels of size m with equal bytes shared, which gains each size below
+    n - 1 once complete; size n - 1 streams again."""
+    z, share = bytes(k - 1), {}.setdefault
+    head = (b"\x01" + z) * (n + 1 - len(table))
+    yield from (head + b"".join(levels) for levels in table[-1])
+    for m in range(len(table), n + 1):
+        head, later = (b"\x01" + z) * (n - m), []
+        for comp in itertools.islice(_compositions(m - 1, k), 1, None):
+            if max(comp) >= len(table):
+                # m = n: a part n - 1 under the root, leaves beside it
+                root = b"\x01" + bytes(map(bool, comp))
+                yield from (root + word[1:]
+                            for word in _tree_words(k, m - 1, table))
+                continue
+            for levels in map(_join, itertools.product(
+                    *(table[c] for c in comp))):
+                if m < n - 1:
+                    levels = tuple(map(share, levels, levels))
+                    later.append(levels)
+                yield head + b"".join(levels)
+        if m < n - 1:
+            wraps = ((b"\x01", z + levels[0], *levels[1:])
+                     for levels in table[m - 1])
+            table.append([tuple(map(share, levels, levels))
+                          for levels in wraps] + later)
 
 
-def _level_tuples(k: int, n: int, below: Sequence[Sequence]) -> Iterator:
-    """The levels of each tree with n internal nodes, in enumeration order,
-    from `below`, the levels of the trees of each size up to n - 2 or more."""
-    if n == 0:
-        return iter([(b"\x00",)])
-    return map(_join, _products(n - 1, k, below,
-                                lambda: _level_tuples(k, n - 1, below)))
-
-
-def _levels_below(k: int, n: int) -> list[list[tuple[bytes, ...]]]:
-    """The levels of the trees of each size up to n - 2 (size 0 at least),
-    which is what _level_tuples needs for size n.  Equal level bytes are
-    shared: the deep levels are mostly the same few bytes."""
-    share = {}.setdefault
-    below: list[list[tuple[bytes, ...]]] = []
-    for m in range(max(n - 1, 1)):
-        below.append([tuple(map(share, levels, levels))
-                      for levels in _level_tuples(k, m, below)])
-    return below
-
-
-def _trees(k: int, levels: Iterable[Sequence[bytes]]) -> Iterator[KaryTree]:
-    return map(KaryTree._of, itertools.repeat(k), map(b"".join, levels))
-
-
-def _iter_trees(k: int, n: int) -> Iterator[KaryTree]:
-    yield from _trees(k, _level_tuples(k, n, _levels_below(k, n)))
+def _trees(k: int, words: Iterable[bytes]) -> Iterator[KaryTree]:
+    return map(KaryTree._of, itertools.repeat(k), words)
 
 
 def enumerate_trees(k: int, n: int,
@@ -315,29 +365,28 @@ def enumerate_trees(k: int, n: int,
     the lexicographic child internal-count composition."""
     if k < 2 or n < 0:
         raise InvalidParameterError("need k >= 2 and n >= 0")
-    return capped(_iter_trees(k, n), budget)
+    return capped(_trees(k, _tree_words(k, n, [[(b"\x00",)]])), budget)
 
 
 def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
+    """For each composition of n into r parts, in lexicographic order, the
+    product of the trees of each part's size, the last part fastest."""
+    table = [[(b"\x00",)]]
+    top = _trees(k, _tree_words(k, n, table))
     if r == 1:
-        for tree in _iter_trees(k, n):
-            yield TreeTuple(k, (tree,))
+        yield from map(TreeTuple, itertools.repeat(k), zip(top))
         return
-    below = _levels_below(k, n)
-    by_size = [list(_trees(k, _level_tuples(k, m, below)))
-               for m in range(max(n, 1))]
-
-    def top() -> Iterator[KaryTree]:
-        # The first composition, (0, ..., 0, n), streams the trees of size
-        # n; the later ones find them in by_size.
-        trees = []
-        for tree in _trees(k, _level_tuples(k, n, below)):
-            trees.append(tree)
-            yield tree
-        by_size.append(trees)
-
-    for entries in _products(n, r, by_size, top):
-        yield TreeTuple(k, entries)
+    # The first composition, (0, ..., 0, n), streams size n, kept as it goes.
+    leaves, kept = (trivial(k),) * (r - 1), []
+    for tree in top:
+        kept.append(tree)
+        yield TreeTuple(k, (*leaves, tree))
+    by_size = [list(_trees(k, map(b"".join, levels))) for levels in table]
+    by_size += [list(_trees(k, _tree_words(k, m, table)))
+                for m in range(len(table), n)] + [kept]
+    for comp in itertools.islice(_compositions(n, r), 1, None):
+        yield from map(TreeTuple, itertools.repeat(k),
+                       itertools.product(*(by_size[c] for c in comp)))
 
 
 def enumerate_tuples(k: int, r: int, n: int,

@@ -200,6 +200,19 @@ class TestMap:
         assert code == 0
         assert json.loads(out)["values"] == [7, 9, 17, 18]
 
+    @pytest.mark.parametrize("k,l,values", [
+        (2, 0, range(2, 10001, 2)),  # one chain 5000 internal nodes deep
+        (3, 1, range(10002, 15002))])
+    def test_seq_to_trees_and_back_deep(self, capsys, k, l, values):
+        seq = ",".join(map(str, values))
+        code, out = run(capsys, "map", "seq-to-trees", "--k", str(k),
+                        "--l", str(l), "--seq", seq)
+        assert code == 0
+        code, back = run(capsys, "map", "trees-to-seq", "--k", str(k),
+                         "--tuple", out.strip(), "--format", "csv")
+        assert code == 0
+        assert back == seq + "\n"
+
     def test_seq_to_trees_pinned(self, capsys):
         code, out = run(capsys, "map", "seq-to-trees", "--k", "4", "--l", "2",
                         "--seq", "7,9,17,18")
@@ -275,8 +288,10 @@ class TestMap:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["null", "5", "[5]", "[[1,2,3]]",
-                                      '["[null, null, null]"]'])
+    @pytest.mark.parametrize("text", [
+        "null", "5", "[5]", "[[1,2,3]]", '["[null, null, null]"]',
+        pytest.param("[" * 3000, id="3000-deep-unclosed"),
+        pytest.param("[" * 3000 + "null" + "]" * 2999, id="3000-deep-short")])
     def test_malformed_tuple(self, capsys, text):
         code = main(["map", "trees-to-seq", "--k", "3", "--tuple", text])
         captured = capsys.readouterr()

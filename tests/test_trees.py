@@ -1,4 +1,7 @@
 import hashlib
+import itertools
+import json
+import random
 from collections import deque
 
 import pytest
@@ -57,6 +60,7 @@ class TestLevelOrderWord:
         for n in range(7):
             for tree in trees.enumerate_trees(k, n):
                 data = tree.to_json()
+                assert tree.json_text() == json.dumps(data)
                 assert tree.word == self.bfs_word(data)
                 assert KaryTree(k, tree.children) == tree
                 assert KaryTree.from_json(k, data) == tree
@@ -66,6 +70,27 @@ class TestLevelOrderWord:
         # labels 16, 14, 12, 7 sit at positions 0, 2, 4, 9
         assert tree.word == bytes(1 if p in (0, 2, 4, 9) else 0
                                   for p in range(17))
+
+
+class TestJsonText:
+    TOKENS = ["[", "]", ",", ", ", " ", "\n", "null", "nul", "1", "-", "1e3",
+              '"a"', '"', "{}", '{"a": [1, [null]]}', "{", "true", "NaN",
+              "\ufeff", "[[", "]]"]
+
+    def test_loads_matches_json(self):
+        # the same value, or the same error, as json.loads
+        rng = random.Random(7)
+        for _ in range(20000):
+            text = "".join(rng.choices(self.TOKENS, k=rng.randrange(12)))
+            try:
+                expected = ("value", json.loads(text))
+            except ValueError as exc:
+                expected = (type(exc), str(exc))
+            try:
+                found = ("value", trees._loads(text))
+            except ValueError as exc:
+                found = (type(exc), str(exc))
+            assert repr(found) == repr(expected), text
 
 
 class TestBuildFromInternalLabels:
@@ -208,6 +233,54 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             list(trees.enumerate_trees(2, 5, budget=10))
 
+    # SHA-256 of the words over the grid below, recorded before trees and
+    # tuples were enumerated in one lazy pass: the order must not change.
+    ORDER_DIGEST = \
+        "9a60e084565c130d15b051b620fcf132e946416c2812e380e45ecb1ec17d7d08"
+
+    def test_order_pinned(self):
+        digest = hashlib.sha256()
+        for k, top in {2: 9, 3: 7, 4: 6, 5: 5}.items():
+            for n in range(top + 1):
+                digest.update(f"trees {k} {n}\n".encode())
+                for tree in trees.enumerate_trees(k, n):
+                    digest.update(tree.word + b"\n")
+        for k, top in {2: 6, 3: 5, 4: 4, 5: 4}.items():
+            for r in range(1, 6):
+                for n in range(top + 1):
+                    digest.update(f"tuples {k} {r} {n}\n".encode())
+                    for t in trees.enumerate_tuples(k, r, n):
+                        digest.update(b"|".join(tree.word for tree in t.trees)
+                                      + b"\n")
+        assert digest.hexdigest() == self.ORDER_DIGEST
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_first_tree_at_large_n(self, k):
+        # the right comb: each root's last child holds the rest
+        first = next(trees.enumerate_trees(k, 5000))
+        assert first.word == (b"\x01" + bytes(k - 1)) * 5000 + b"\x00"
+
+    def test_first_tuple_at_large_n(self):
+        first = next(trees.enumerate_tuples(3, 2, 5000))
+        assert first == TreeTuple(3, (trees.trivial(3), KaryTree._of(
+            3, b"\x01\x00\x00" * 5000 + b"\x00")))
+
+    @pytest.mark.parametrize("enumerate_, args", [
+        (trees.enumerate_trees, (2, 14)), (trees.enumerate_tuples, (3, 2, 12))])
+    def test_budget_of_one_stops_after_one(self, enumerate_, args):
+        found = []
+        with pytest.raises(BudgetExceededError):
+            for obj in enumerate_(*args, budget=1):
+                found.append(obj)
+        assert len(found) == 1
+
+    @pytest.mark.parametrize("parts", range(1, 5))
+    @pytest.mark.parametrize("total", range(6))
+    def test_compositions(self, total, parts):
+        expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                    if sum(c) == total]
+        assert list(trees._compositions(total, parts)) == expected
+
 
 class TestBijectionGrid:
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -245,6 +318,8 @@ class TestDepth:
         assert hash(again) == hash(t) and again == t
         (tree,) = [entry for entry in t.trees if not entry.is_leaf]
         assert KaryTree.from_json(k, tree.to_json()) == tree
+        assert KaryTree.from_json(k, tree.json_text()) == tree
+        assert TreeTuple.from_json(k, t.json_text()) == t
         # one tree holds every value, so its root carries the label s_n
         w = values[-1]
         assert trees.internal_labels(tree, w) == values[::-1]
