@@ -1,13 +1,14 @@
 """Command-line front-end: counting, enumeration, bijection mapping and
 verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 ok, 1 a suite failed, 2 invalid input, 141 stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ballot, paths, threshold, trees, verify
@@ -209,8 +210,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except RaneyseqError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left: exit as SIGPIPE would, with a quiet final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (RaneyseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

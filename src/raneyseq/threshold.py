@@ -9,7 +9,6 @@ It is proper when s_n hits the upper bound exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
@@ -103,23 +102,11 @@ def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequenc
             and all(map(operator.le, lowers, values))
             and (not values or values[-1] <= upper)):
         return ThresholdSequence(params, values)
-    # One comparison row per inequality, a 0 byte where it fails: byte i
-    # of rises compares values i and i + 1 (from 0), of the bound rows
-    # value i with its bound.
-    rises = bytes(map(operator.lt, values, values[1:]))
-    above = bytes(map(operator.le, lowers, values))
-    below = bytes(map(operator.le, values, itertools.repeat(upper)))
-    fall = _first_zero(rises, n - 1) + 1
-    out = min(_first_zero(above, n), _first_zero(below, n))
-    if fall <= out:
-        raise NotIncreasingError(fall + 1)
-    raise BoundViolationError(out + 1, values[out])
-
-
-def _first_zero(row: bytes, n: int) -> int:
-    """Index of the first 0 byte of a comparison row, n if there is none."""
-    i = row.find(0)
-    return n if i < 0 else i
+    for i, (lower, value) in enumerate(zip(lowers, values), start=1):
+        if i > 1 and not values[i - 2] < value:
+            raise NotIncreasingError(i)
+        if not lower <= value <= upper:
+            raise BoundViolationError(i, value)
 
 
 def is_proper(seq: ThresholdSequence) -> bool:

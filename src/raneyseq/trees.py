@@ -16,7 +16,7 @@ which realize the bijection between (k,l)-threshold sequences and
 from __future__ import annotations
 
 import itertools
-import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -167,46 +167,30 @@ class TreeTuple:
         return cls(k, tuple(KaryTree._of_json(k, entry) for entry in data))
 
 
-_DECODER = json.JSONDecoder()
+# After JSON whitespace: null, [, ], ",", any other character, "" at the end
+_TOKEN = re.compile(r"[ \t\n\r]*(null|.|)", re.DOTALL)
 
 
 def _loads(text: str):
-    """json.loads(text), reading arrays with a stack rather than recursion:
-    the same value, or the same JSONDecodeError, at any depth."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError(
-            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    skip = json.decoder.WHITESPACE.match
-    arrays: list[list] = []  # the arrays open at end, innermost last
-    end = skip(text, 0).end()
-    while True:
-        if text.startswith("[", end):
-            end = skip(text, end + 1).end()
-            if not text.startswith("]", end):
-                arrays.append([])
-                continue
-            value, end = [], end + 1
-        else:
-            try:
-                value, end = _DECODER.scan_once(text, end)
-            except StopIteration as err:
-                raise json.JSONDecodeError(
-                    "Expecting value", text, err.value) from None
-        while arrays:  # value ends an item of the innermost open array
-            arrays[-1].append(value)
-            end = skip(text, end).end()
-            if text.startswith(",", end):
-                end = skip(text, end + 1).end()
-                break
-            if not text.startswith("]", end):
-                raise json.JSONDecodeError(
-                    "Expecting ',' delimiter", text, end)
-            value, end = arrays.pop(), end + 1
-        else:
-            end = skip(text, end).end()
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
-            return value
+    """The nested lists json.loads returns for a JSON text of nulls and
+    arrays, read with a stack; any other text fails at its first bad token."""
+    arrays: list[list] = [[]]  # the open arrays, innermost last, in a holder
+    prev = ","  # a value comes first, as after a comma
+    for match in _TOKEN.finditer(text):
+        token, finished, inside = match[1], prev in ("null", "]"), len(arrays) > 1
+        if token == "null" and not finished:
+            arrays[-1].append(None)
+        elif token == "[" and not finished:
+            arrays.append([])
+            arrays[-2].append(arrays[-1])
+        elif token == "]" and prev != "," and inside:
+            arrays.pop()
+        elif not token and finished and not inside:
+            return arrays[0][0]
+        elif not (token == "," and finished and inside):
+            raise InvalidParameterError(
+                f"malformed tree text at character {match.start(1)}")
+        prev = token
 
 
 def _levels(k: int, word: bytes) -> list[bytes]:

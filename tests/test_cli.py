@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import raneyseq
 from raneyseq.cli import main
 from raneyseq.exactmath import raney
 
@@ -291,7 +294,9 @@ class TestMap:
     @pytest.mark.parametrize("text", [
         "null", "5", "[5]", "[[1,2,3]]", '["[null, null, null]"]',
         pytest.param("[" * 3000, id="3000-deep-unclosed"),
-        pytest.param("[" * 3000 + "null" + "]" * 2999, id="3000-deep-short")])
+        pytest.param("[" * 3000 + "null" + "]" * 2999, id="3000-deep-short"),
+        pytest.param('[{"a": ' + "[" * 3000 + "]" * 3000 + "}]",
+                     id="3000-deep-in-object")])
     def test_malformed_tuple(self, capsys, text):
         code = main(["map", "trees-to-seq", "--k", "3", "--tuple", text])
         captured = capsys.readouterr()
@@ -369,3 +374,32 @@ class TestIdentities:
         assert code == 2
         assert out == ""
         assert not target.exists()
+
+    def test_report_to_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "ballot.json"
+        code = main(["identities", "--suite", "ballot",
+                     "--report", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestClosedStdout:
+    def test_reader_gone_after_one_line(self):
+        # as `raneyseq enumerate ... | head -1`: quiet, with SIGPIPE's status
+        src = os.path.dirname(os.path.dirname(raneyseq.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "raneyseq.cli", "enumerate", "--k", "2",
+             "--n", "12", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert code == 141
+        assert first == b"2,4,6,8,10,12,14,16,18,20,22,24\n"
+        assert err == b""

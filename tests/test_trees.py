@@ -11,6 +11,7 @@ from raneyseq.errors import (
     BudgetExceededError,
     EmptyTupleError,
     InvalidParameterError,
+    RaneyseqError,
     UnreachableLabelError,
 )
 from raneyseq.threshold import ThresholdParams
@@ -73,24 +74,41 @@ class TestLevelOrderWord:
 
 
 class TestJsonText:
-    TOKENS = ["[", "]", ",", ", ", " ", "\n", "null", "nul", "1", "-", "1e3",
-              '"a"', '"', "{}", '{"a": [1, [null]]}', "{", "true", "NaN",
-              "\ufeff", "[[", "]]"]
+    TOKENS = ["[", "]", ",", ", ", " ", "\n", "\t", "\r", "\x0c", "null",
+              "nul", "1", "-", "1e3", '"a"', '"', "{}", '{"a": [1, [null]]}',
+              "{", "true", "NaN", "\ufeff", "[[", "]]"]
+
+    @staticmethod
+    def only_nulls_and_lists(value):
+        values = [value]
+        for value in values:  # grows as it is read
+            if value is not None and not isinstance(value, list):
+                return False
+            values += value or ()
+        return True
 
     def test_loads_matches_json(self):
-        # the same value, or the same error, as json.loads
-        rng = random.Random(7)
+        # json.loads's value for a text of nulls and arrays, else rejected
+        self.check_texts(self.TOKENS, random.Random(7))
+
+    def test_loads_matches_json_on_tree_tokens(self):
+        # most of these texts are tree text, many of them nested
+        self.check_texts(["[", "]", ",", ", ", " ", "\n", "null", "[[", "]]",
+                          "[null, null]"], random.Random(8))
+
+    def check_texts(self, tokens, rng):
         for _ in range(20000):
-            text = "".join(rng.choices(self.TOKENS, k=rng.randrange(12)))
+            text = "".join(rng.choices(tokens, k=rng.randrange(12)))
             try:
-                expected = ("value", json.loads(text))
-            except ValueError as exc:
-                expected = (type(exc), str(exc))
-            try:
-                found = ("value", trees._loads(text))
-            except ValueError as exc:
-                found = (type(exc), str(exc))
-            assert repr(found) == repr(expected), text
+                expected = json.loads(text)
+                accepted = self.only_nulls_and_lists(expected)
+            except ValueError:
+                accepted = False
+            if accepted:
+                assert repr(trees._loads(text)) == repr(expected), text
+            else:
+                with pytest.raises((ValueError, RaneyseqError)):
+                    trees._loads(text)
 
 
 class TestBuildFromInternalLabels:
