@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import HeightExceedsLimitError, InvalidParameterError
@@ -42,12 +43,7 @@ class ExtMotzkinPath:
     @property
     def heights(self) -> tuple[int, ...]:
         """Prefix sums y_1, ..., y_n."""
-        out = []
-        height = 0
-        for rise in self.rises:
-            height += rise
-            out.append(height)
-        return tuple(out)
+        return tuple(accumulate(self.rises))
 
     @property
     def end_height(self) -> int:
@@ -77,12 +73,11 @@ def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
 
 def sequence_of_path(path: ExtMotzkinPath, l: int) -> ThresholdSequence:
     """Inverse of path_of: s_i = y_i + i*k, validated as a (k,l)-sequence."""
-    if not 0 <= l <= path.k - 2:
-        raise InvalidParameterError(f"l must satisfy 0 <= l <= k-2, got {l}")
+    params = ThresholdParams(path.k, l, path.n)
     if path.end_height > l:
         raise HeightExceedsLimitError(path.end_height, l)
     values = [y + i * path.k for i, y in enumerate(path.heights, start=1)]
-    return validate(values, ThresholdParams(path.k, l, path.n))
+    return validate(values, params)
 
 
 def enumerate_paths(k: int, l: int, n: int,
@@ -93,8 +88,9 @@ def enumerate_paths(k: int, l: int, n: int,
     y_i <= l + (n-i)*(k-1), which makes the search finite; rises are
     explored in increasing numeric order.
     """
-    if k < 2 or not 0 <= l <= k - 2 or n < 1:
-        raise InvalidParameterError("need k >= 2, 0 <= l <= k-2 and n >= 1")
+    ThresholdParams(k, l, n)  # checks k and l as for sequences
+    if n < 1:
+        raise InvalidParameterError("enumeration requires n >= 1")
     rises: list[int] = []
 
     def extend(i: int, height: int) -> Iterator[ExtMotzkinPath]:

@@ -34,16 +34,12 @@ class KaryTree:
     __slots__ = ("k", "word")
 
     def __init__(self, k: int, children: Sequence[KaryTree] = ()) -> None:
-        if k < 2:
-            raise InvalidParameterError("arity k must be >= 2")
-        if children and len(children) != k:
-            raise InvalidParameterError(
-                f"internal node needs exactly {k} children")
+        # A leaf's JSON carries no arity, so the reader cannot see this.
         if any(child.k != k for child in children):
             raise InvalidParameterError("child arity mismatch")
         self.k = k
-        self.word = (b"".join(_join([_levels(k, c.word) for c in children]))
-                     if children else b"\x00")
+        self.word = KaryTree._of_json(
+            k, [child.to_json() for child in children] or None).word
 
     @classmethod
     def _of(cls, k: int, word: bytes) -> KaryTree:
@@ -126,7 +122,7 @@ class KaryTree:
 
 def trivial(k: int) -> KaryTree:
     """The trivial tree: a single leaf."""
-    return KaryTree(k)
+    return KaryTree._of(k, b"\x00")
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,17 +187,6 @@ def _loads(text: str):
             raise InvalidParameterError(
                 f"malformed tree text at character {match.start(1)}")
         prev = token
-
-
-def _levels(k: int, word: bytes) -> list[bytes]:
-    """The levels of a level-order word: the nodes of each depth."""
-    levels: list[bytes] = []
-    start, width = 0, 1
-    while start < len(word):
-        levels.append(word[start:start + width])
-        start += width
-        width = k * levels[-1].count(1)
-    return levels
 
 
 def _join(child_levels: Sequence[Sequence[bytes]]) -> tuple[bytes, ...]:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError
@@ -256,19 +255,19 @@ def check_bijections(k: int, l: int, n: int,
     return report
 
 
-def check_ballot_claim(k_values: Iterable[int] = (2, 3),
-                       n_max: int = 6) -> VerifyReport:
+def check_ballot_claim() -> VerifyReport:
     """Measure which reading of the ballot-word count matches the Raney
-    number R_b^(k, a-kb) with a = kn+l+1 and b = n.
+    number R_b^(k, a-kb) with a = kn+l+1 and b = n, over k in {2, 3},
+    0 <= l <= k-2 and 1 <= n <= 6.
 
     Two readings per cell: the number of all (k,l)-threshold sequences,
     and the number of encoded words that actually carry a letters A (the
     words whose last letter is B), which are exactly the proper ones.
     """
     with VerifyReport("ballot-claim") as report:
-        for k in k_values:
+        for k in (2, 3):
             for l in range(k - 1):
-                for n in range(1, n_max + 1):
+                for n in range(1, 7):
                     a, b = k * n + l + 1, n
                     target = raney(k, a - k * b, b)
                     params = ThresholdParams(k, l, n)
@@ -304,19 +303,9 @@ def ballot_claim_summary(report: VerifyReport) -> dict:
     }
 
 
-def identity_suites(n_max_overrides: dict | None = None) -> list[VerifyReport]:
-    """Run every identity suite at its default depth."""
-    depths = {"section2": 25, "prop4": 40, "catalan": 60, "prop6": 50,
-              "raney_diff": 30}
-    if n_max_overrides:
-        depths.update(n_max_overrides)
-    reports = [
-        check_section2_recurrences(depths["section2"]),
-        check_prop4(depths["prop4"]),
-        check_catalan_pow2(depths["catalan"]),
-        check_prop6(depths["prop6"]),
-    ]
-    for k in range(2, 7):
-        for l in range(1, k - 1):
-            reports.append(check_raney_difference(k, l, depths["raney_diff"]))
-    return reports
+def identity_suites() -> list[VerifyReport]:
+    """Run every identity suite at its fixed depth."""
+    return [check_section2_recurrences(25), check_prop4(40),
+            check_catalan_pow2(60), check_prop6(50),
+            *(check_raney_difference(k, l, 30)
+              for k in range(2, 7) for l in range(1, k - 1))]

@@ -124,13 +124,7 @@ def test_criterion_4_identity_suites():
             for n in range(11):
                 # raney itself checks both closed forms of Eq-form agreement
                 ok &= exactmath.raney_convolution(k, r, n) == raney(k, r, n)
-    ok &= verify.check_section2_recurrences(25).passed
-    ok &= verify.check_prop4(40).passed
-    ok &= verify.check_catalan_pow2(60).passed
-    ok &= verify.check_prop6(50).passed
-    for k in range(2, 7):
-        for l in range(1, k - 1):
-            ok &= verify.check_raney_difference(k, l, 30).passed
+    ok &= all(report.passed for report in verify.identity_suites())
     _report("criterion 4: identity suites, exact arithmetic, zero tolerance", ok)
 
 
@@ -168,7 +162,7 @@ def test_criterion_6_oeis_prefixes():
 
 
 def test_criterion_7_ballot_measurement(tmp_path):
-    report = verify.check_ballot_claim((2, 3), 6)
+    report = verify.check_ballot_claim()
     summary = verify.ballot_claim_summary(report)
     # The tracked reports/ballot_claim.json is regenerated only by
     # `raneyseq identities --suite ballot --report reports/ballot_claim.json`.

@@ -156,6 +156,19 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("l,n", [("1", "0"), ("2", "3")])
+    def test_sequences_and_paths_reject_a_cell_alike(self, capsys, l, n):
+        errors = []
+        for kind in ("seq", "path"):
+            code = main(["enumerate", "--k", "3", "--l", l, "--n", n,
+                         "--kind", kind])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
     def test_nonzero_l_for_trees(self, capsys):
         code, out = run(capsys, "enumerate", "--k", "3", "--l", "1", "--n", "1",
                         "--kind", "tree")

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from raneyseq import exactmath, paths, threshold
 from raneyseq.errors import (
@@ -143,11 +141,9 @@ class TestRender:
         assert sum(line.count("*") for line in lines) == 8
 
 
-@given(st.integers(2, 4).flatmap(
-    lambda k: st.tuples(st.just(k), st.integers(0, k - 2), st.integers(1, 4))))
-@settings(max_examples=25, deadline=None)
-def test_path_bijection_property(klm):
-    k, l, n = klm
+@pytest.mark.parametrize("k,l,n", [(k, l, n) for k in (2, 3, 4)
+                                   for l in range(k - 1) for n in range(1, 5)])
+def test_path_bijection_property(k, l, n):
     params = ThresholdParams(k, l, n)
     images = set()
     for s in threshold.enumerate_sequences(params):

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from raneyseq import exactmath, threshold
 from raneyseq.errors import (
@@ -221,11 +219,9 @@ class TestShift:
             {s.values for s in offset}
 
 
-@given(st.integers(2, 4).flatmap(
-    lambda k: st.tuples(st.just(k), st.integers(0, k - 2), st.integers(1, 4))))
-@settings(max_examples=30, deadline=None)
-def test_enumeration_count_matches_raney(klm):
-    k, l, n = klm
+@pytest.mark.parametrize("k,l,n", [(k, l, n) for k in (2, 3, 4)
+                                   for l in range(k - 1) for n in range(1, 5)])
+def test_enumeration_count_matches_raney(k, l, n):
     params = ThresholdParams(k, l, n)
     seqs = list(threshold.enumerate_sequences(params))
     assert len(seqs) == threshold.count(params)

@@ -38,6 +38,15 @@ class TestKaryTree:
         with pytest.raises(InvalidParameterError):
             KaryTree(3, (trees.trivial(3), trees.trivial(3)))
 
+    def test_child_of_another_arity(self):
+        # a leaf's JSON carries no arity, so only the tree can see this
+        with pytest.raises(InvalidParameterError, match="child arity"):
+            KaryTree(2, (trees.trivial(3), trees.trivial(3)))
+
+    def test_tuple_entry_of_another_arity(self):
+        with pytest.raises(InvalidParameterError, match="entry arity"):
+            TreeTuple(2, (trees.trivial(3),))
+
     def test_json_round_trip(self):
         tree = trees.build_from_internal_labels(4, 16, [16, 14, 12, 7])
         assert KaryTree.from_json(4, tree.to_json()) == tree

@@ -86,9 +86,7 @@ class TestIdentitySuites:
                 assert verify.check_raney_difference(k, l, 15).passed
 
     def test_identity_suites_all_pass(self):
-        reports = verify.identity_suites({"section2": 8, "prop4": 8,
-                                          "catalan": 12, "prop6": 8,
-                                          "raney_diff": 8})
+        reports = verify.identity_suites()
         assert reports
         assert all(r.passed for r in reports)
 
@@ -138,7 +136,7 @@ class TestBijectionSuite:
 
 class TestBallotClaim:
     def test_measurement(self):
-        report = verify.check_ballot_claim((2, 3), 5)
+        report = verify.check_ballot_claim()
         assert report.passed
         summary = verify.ballot_claim_summary(report)
         assert summary["all_sequences_match_raney"] is True
