@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import ballot, paths, threshold, trees, verify
+from . import ballot, exactmath, paths, threshold, trees, verify
 from .errors import InvalidParameterError, RaneyseqError
 from .threshold import ThresholdParams, ThresholdSequence
 
@@ -82,15 +82,7 @@ def _seq_of_tuple(args: argparse.Namespace) -> ThresholdSequence:
 def cmd_count(args: argparse.Namespace) -> int:
     params = ThresholdParams(args.k, args.l, args.n)
     value = threshold.count_proper(params) if args.proper else threshold.count(params)
-    # Lift Python's cap on int-to-str digits (from 3.10.7 on) for this answer.
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
-    try:
-        print(value)
-    finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
+    sys.stdout.write(exactmath.decimal_text(value) + "\n")
     return 0
 
 

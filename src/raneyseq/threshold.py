@@ -111,6 +111,8 @@ def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequenc
 
 def is_proper(seq: ThresholdSequence) -> bool:
     """True iff s_n = k*n + l + d."""
+    if not seq.values:
+        raise InvalidParameterError("is_proper requires n >= 1")
     return seq.values[-1] == seq.params.upper
 
 
@@ -121,6 +123,8 @@ def cut_index(seq: ThresholdSequence) -> int:
     """
     if seq.d != 0:
         raise InvalidParameterError("cut_index requires offset 0")
+    if not seq.values:
+        raise InvalidParameterError("cut_index requires n >= 1")
     return cut_of(seq.values, seq.k)
 
 

@@ -14,7 +14,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError
@@ -22,6 +22,8 @@ from .exactmath import binomial, catalan, raney
 from .threshold import ThresholdParams
 
 DEFAULT_BUDGET = 10 ** 6
+# The most offending objects of each kind a failing surjectivity cell names.
+_OFFENDERS = 3
 
 
 @dataclass
@@ -236,7 +238,8 @@ def check_bijections(k: int, l: int, n: int,
 
         # Stream each codomain once against its image set: an object met
         # and not found (also a repeated one, whose image is gone by then)
-        # and an image never met both count against surjectivity.
+        # and an image never met both count against surjectivity.  A
+        # failing cell names up to _OFFENDERS of each, as JSON.
         for name, images, codomain in (
                 ("tuple", tuple_images,
                  trees.enumerate_tuples(k, l + 1, n, budget=budget)),
@@ -245,13 +248,20 @@ def check_bijections(k: int, l: int, n: int,
             report.add({"check": f"{name}-injective", "k": k, "l": l, "n": n},
                        count, len(images))
             unmatched = 0
+            unmatched_objects = []
             for obj in codomain:
                 try:
                     images.remove(obj)
                 except KeyError:
                     unmatched += 1
-            report.add({"check": f"{name}-surjective", "k": k, "l": l, "n": n},
-                       0, unmatched + len(images))
+                    if unmatched <= _OFFENDERS:
+                        unmatched_objects.append(obj.to_json())
+            cell = {"check": f"{name}-surjective", "k": k, "l": l, "n": n}
+            if unmatched or images:
+                cell["unmatched_objects"] = unmatched_objects
+                cell["unmet_images"] = [
+                    obj.to_json() for obj in islice(images, _OFFENDERS)]
+            report.add(cell, 0, unmatched + len(images))
     return report
 
 

@@ -57,6 +57,26 @@ class TestCount:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no cap on int-to-str digits before 3.10.7")
+    def test_answer_printed_without_touching_the_digit_cap(
+            self, capsys, monkeypatch):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        expected = f"{raney(3, 2, 6000)}\n"
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+
+        def refuse(maxdigits):
+            raise AssertionError("count set the int-to-str digit cap")
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        try:
+            code, out = run(capsys, "count", "--k", "3", "--l", "1",
+                            "--n", "6000")
+        finally:
+            monkeypatch.undo()
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (0, expected)
+
 
 class TestEnumerate:
     def test_catalan_cell_json(self, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -198,3 +199,41 @@ class TestMotzkin:
         assert exactmath.motzkin(6) == 51
         for n in range(10):
             assert exactmath.motzkin(n) == count_classic_motzkin_paths(n)
+
+
+@pytest.fixture
+def no_digit_cap():
+    """Lift the interpreter's int-to-str digit cap (3.10.7 on), so that
+    str(int) can serve as the reference at any length."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    yield
+    if saved:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.usefixtures("no_digit_cap")
+class TestDecimalText:
+    @pytest.mark.parametrize("value", [0, 1, -1, -7, 10, -10, -(2 ** 200 + 5)])
+    def test_small_and_negative(self, value):
+        assert exactmath.decimal_text(value) == str(value)
+
+    # Both sides of the 128-bit base case.
+    @pytest.mark.parametrize("value", [2 ** 128 - 1, 2 ** 128, 2 ** 129])
+    def test_around_the_base_case(self, value):
+        assert exactmath.decimal_text(value) == str(value)
+        assert exactmath.decimal_text(-value) == str(-value)
+
+    @pytest.mark.parametrize("m", [1, 38, 39, 100, 1000, 4300, 4301, 20000])
+    def test_around_powers_of_ten(self, m):
+        for value in (10 ** m - 1, 10 ** m, 10 ** m + 1):
+            assert exactmath.decimal_text(value) == str(value)
+
+    def test_seeded_random_lengths(self):
+        rng = random.Random(10)
+        for e in range(20):  # bit lengths up to 2**20, about 10**6
+            bits = rng.randrange(2 ** e, 2 ** (e + 1))
+            value = rng.getrandbits(bits) | 1 << (bits - 1)
+            value = -value if rng.randrange(2) else value
+            assert exactmath.decimal_text(value) == str(value)

@@ -110,6 +110,11 @@ class TestIsProper:
         assert not threshold.is_proper(threshold.validate(S1, ThresholdParams(3, 1, 6)))
         assert threshold.is_proper(threshold.validate(S2, ThresholdParams(3, 1, 6)))
 
+    def test_empty_sequence_rejected(self):
+        seq = threshold.validate((), ThresholdParams(3, 1, 0))
+        with pytest.raises(InvalidParameterError, match="requires n >= 1"):
+            threshold.is_proper(seq)
+
 
 class TestCutIndex:
     def test_example5(self):
@@ -129,6 +134,11 @@ class TestCutIndex:
         seq = threshold.shift(
             threshold.validate((3, 6), ThresholdParams(3, 0, 2)), 5)
         with pytest.raises(InvalidParameterError):
+            threshold.cut_index(seq)
+
+    def test_empty_sequence_rejected(self):
+        seq = threshold.validate((), ThresholdParams(3, 1, 0))
+        with pytest.raises(InvalidParameterError, match="requires n >= 1"):
             threshold.cut_index(seq)
 
 

@@ -124,14 +124,22 @@ class TestBijectionSuite:
     def test_codomain_repeating_or_dropping_an_object(
             self, monkeypatch, module, name, check, edit):
         original = getattr(module, name)
+        firsts = []
 
         def edited(*args, **kwargs):
             found = list(original(*args, **kwargs))
+            firsts.append(found[0].to_json())
             return iter(found + found[:1] if edit == "repeat" else found[1:])
         monkeypatch.setattr(module, name, edited)
         report = verify.check_bijections(3, 1, 3)
         assert [(c.params["check"], c.expected, c.observed)
                 for c in report.failures] == [(check, 0, 1)]
+        # The repeated first object matches no image left; the dropped
+        # one is the image never met.
+        params = report.failures[0].params
+        assert (params["unmatched_objects"], params["unmet_images"]) == (
+            (firsts, []) if edit == "repeat" else ([], firsts))
+        json.dumps(report.to_json())
 
 
 class TestBallotClaim:
