@@ -32,13 +32,12 @@ WRITERS = {
     "tuple": {"json": lambda t: t.json_text()},
     "word": {"text": lambda word: word.letters},
 }
-# Each kind `enumerate` streams, and its objects given (args, budget).
+# Each kind `enumerate` streams, and its objects given (cell, budget).
 ENUMERATORS = {
-    "seq": lambda a, budget: threshold.enumerate_sequences(
-        ThresholdParams(a.k, a.l, a.n, a.d), budget),
-    "tree": lambda a, budget: trees.enumerate_trees(a.k, a.n, budget),
-    "tuple": lambda a, budget: trees.enumerate_tuples(a.k, a.l + 1, a.n, budget),
-    "path": lambda a, budget: paths.enumerate_paths(a.k, a.l, a.n, budget),
+    "seq": lambda c, budget: threshold.enumerate_sequences(c, budget),
+    "tree": lambda c, budget: trees.enumerate_trees(c.k, c.n, budget),
+    "tuple": lambda c, budget: trees.enumerate_tuples(c.k, c.l + 1, c.n, budget),
+    "path": lambda c, budget: paths.enumerate_paths(c.k, c.l, c.n, budget),
 }
 # Each map direction: the option holding its input, the map from the
 # parsed arguments to the image, and the kind of the image.
@@ -94,10 +93,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--kind {args.kind} takes no --d")
     if args.l and args.kind == "tree":
         raise InvalidParameterError("--kind tree takes no --l")
+    cell = ThresholdParams(args.k, args.l, args.n, args.d)
     write = WRITERS[args.kind][args.format]
     end = "\n\n" if args.format == "ascii" else "\n"  # a blank line between drawings
     out = sys.stdout
-    for obj in ENUMERATORS[args.kind](args, args.budget):
+    for obj in ENUMERATORS[args.kind](cell, args.budget):
         out.write(write(obj) + end)
     return 0
 

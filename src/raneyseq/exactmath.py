@@ -203,6 +203,6 @@ def motzkin(n: int) -> int:
 
 def _check_kn(k: int, n: int) -> None:
     if k < 2:
-        raise InvalidParameterError("arity k must be >= 2")
+        raise InvalidParameterError("k must be >= 2")
     if n < 0:
         raise InvalidParameterError("n must be >= 0")

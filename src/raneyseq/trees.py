@@ -45,7 +45,7 @@ class KaryTree:
     def _of(cls, k: int, word: bytes) -> KaryTree:
         """The tree of a word already known to be a k-ary level-order word."""
         if k < 2:
-            raise InvalidParameterError("arity k must be >= 2")
+            raise InvalidParameterError("k must be >= 2")
         tree = cls.__new__(cls)
         tree.k, tree.word = k, word
         return tree
@@ -106,6 +106,7 @@ class KaryTree:
     @classmethod
     def _of_json(cls, k: int, data) -> KaryTree:
         """The tree of a decoded JSON encoding (a text node is malformed)."""
+        cls._of(k, b"")  # the arity first, whatever the encoding
         word = bytearray()
         nodes = [data]
         for node in nodes:  # grows as it is read: a BFS queue
@@ -288,17 +289,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
-def _tree_words(k: int, n: int, table: list) -> Iterator[bytes]:
+def _tree_words(k: int, n: int, table: list | None = None) -> Iterator[bytes]:
     """The words of the trees with n internal nodes, ordered by the
     lexicographic child internal-count composition, the last child fastest.
 
     The first composition of a size m, (0, ..., 0, m - 1), wraps each tree
     of size m - 1 under a root whose other children are leaves: its word
     gains a prefix of 1 and k - 1 zeros.  So size n is the wraps of the
-    largest size in table, then for each larger size m the (n - m)-fold
-    wraps of the trees of its later compositions.  Those read table[m], the
-    levels of size m with equal bytes shared, which gains each size below
-    n - 1 once complete; size n - 1 streams again."""
+    largest size built so far, then for each larger size m the (n - m)-fold
+    wraps of the trees of its later compositions.  Those read the levels of
+    the smaller sizes, equal bytes shared, from this call's own table, which
+    only its recursive call, streaming size n - 1 again, is lent."""
+    table = table or [[(b"\x00",)]]
     z, share = bytes(k - 1), {}.setdefault
     head = (b"\x01" + z) * (n + 1 - len(table))
     yield from (head + b"".join(levels) for levels in table[-1])
@@ -334,14 +336,13 @@ def enumerate_trees(k: int, n: int,
     the lexicographic child internal-count composition."""
     if k < 2 or n < 0:
         raise InvalidParameterError("need k >= 2 and n >= 0")
-    return capped(_trees(k, _tree_words(k, n, [[(b"\x00",)]])), budget)
+    return capped(_trees(k, _tree_words(k, n)), budget)
 
 
 def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
     """For each composition of n into r parts, in lexicographic order, the
     product of the trees of each part's size, the last part fastest."""
-    table = [[(b"\x00",)]]
-    top = _trees(k, _tree_words(k, n, table))
+    top = _trees(k, _tree_words(k, n))
     if r == 1:
         yield from map(TreeTuple, itertools.repeat(k), zip(top))
         return
@@ -350,9 +351,7 @@ def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
     for tree in top:
         kept.append(tree)
         yield TreeTuple(k, (*leaves, tree))
-    by_size = [list(_trees(k, map(b"".join, levels))) for levels in table]
-    by_size += [list(_trees(k, _tree_words(k, m, table)))
-                for m in range(len(table), n)] + [kept]
+    by_size = [list(_trees(k, _tree_words(k, m))) for m in range(n)] + [kept]
     for comp in itertools.islice(_compositions(n, r), 1, None):
         yield from map(TreeTuple, itertools.repeat(k),
                        itertools.product(*(by_size[c] for c in comp)))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from . import ballot, exactmath, paths, threshold, trees
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, RaneyseqError
 from .exactmath import binomial, catalan, raney
 from .threshold import ThresholdParams
 
@@ -217,21 +217,27 @@ def check_bijections(k: int, l: int, n: int,
         path_images = set()
         for seq in threshold.enumerate_sequences(params, budget=budget):
             count += 1
-            t = trees.tuple_of(seq)
-            p = paths.path_of(seq)
-            w = ballot.to_ballot(seq)
-            tuple_images.add(t)
-            path_images.add(p)
-            for check, back in (
-                    ("tuple-roundtrip", trees.sequence_of_tuple(t, n)),
-                    ("path-roundtrip", paths.sequence_of_path(p, l)),
-                    ("ballot-roundtrip", ballot.from_ballot(w, k, l))):
-                if back.values != seq.values:
-                    report.add({"check": check, "seq": list(seq.values)},
-                               list(seq.values), list(back.values))
-            if not ballot.is_k_ballot_isolated(w, k):
-                report.add({"check": "ballot-isolated", "seq": list(seq.values)},
-                           True, False)
+            try:
+                t = trees.tuple_of(seq)
+                p = paths.path_of(seq)
+                w = ballot.to_ballot(seq)
+                tuple_images.add(t)
+                path_images.add(p)
+                for check, back in (
+                        ("tuple-roundtrip", trees.sequence_of_tuple(t, n)),
+                        ("path-roundtrip", paths.sequence_of_path(p, l)),
+                        ("ballot-roundtrip", ballot.from_ballot(w, k, l))):
+                    if back.values != seq.values:
+                        report.add({"check": check, "seq": list(seq.values)},
+                                   list(seq.values), list(back.values))
+                if not ballot.is_k_ballot_isolated(w, k):
+                    report.add({"check": "ballot-isolated",
+                                "seq": list(seq.values)}, True, False)
+            except RaneyseqError as exc:
+                # A map that raises on a valid sequence is a failing cell,
+                # and the suite goes on to the next sequence.
+                report.add({"check": "map-raised", "seq": list(seq.values)},
+                           "no error", f"{type(exc).__name__}: {exc}")
         if not report.cells:
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
                        count, count)

@@ -7,8 +7,11 @@ import sys
 import pytest
 
 import raneyseq
+from raneyseq import ballot, paths, threshold, trees
 from raneyseq.cli import main
+from raneyseq.errors import EmptyTupleError
 from raneyseq.exactmath import raney
+from raneyseq.threshold import ThresholdParams
 
 
 def run(capsys, *argv):
@@ -176,17 +179,21 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("l,n", [("1", "0"), ("2", "3")])
-    def test_sequences_and_paths_reject_a_cell_alike(self, capsys, l, n):
+    # Tuples have one object of size 0, so they share only the l rule.
+    @pytest.mark.parametrize("l,n,kinds", [
+        pytest.param("1", "0", ("seq", "path"), id="1-0"),
+        pytest.param("2", "3", ("seq", "path", "tuple"), id="2-3")])
+    def test_sequences_and_paths_reject_a_cell_alike(self, capsys, l, n,
+                                                     kinds):
         errors = []
-        for kind in ("seq", "path"):
+        for kind in kinds:
             code = main(["enumerate", "--k", "3", "--l", l, "--n", n,
                          "--kind", kind])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
             errors.append(captured.err)
-        assert errors[0] == errors[1]
+        assert errors == errors[:1] * len(kinds)
         assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
 
     def test_nonzero_l_for_trees(self, capsys):
@@ -209,6 +216,26 @@ class TestEnumerate:
 EXAMPLE_7 = "7,15,16,21,28,30,38"
 TUPLE_7_9_17_18 = ("[null, [null, [null, null, null, null], null, null], "
                    "[[null, null, null, null], null, null, null]]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "2"],
+    ["verify", "--n", "2"],
+    *(["enumerate", "--n", "2", "--kind", kind]
+      for kind in ("seq", "tree", "tuple", "path")),
+    ["map", "seq-to-trees", "--seq", "3,6"],
+    ["map", "trees-to-seq", "--tuple", "[[null, null, null]]"],
+    ["map", "seq-to-path", "--seq", "3,6"],
+    ["map", "path-to-seq", "--path", "0,0"],
+    ["map", "seq-to-ballot", "--seq", "3,6"],
+    ["map", "ballot-to-seq", "--word", "AAAABAAAB"]],
+    ids=" ".join)
+def test_arity_below_two_rejected_alike(capsys, argv):
+    code = main([*argv, "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: k must be >= 2\n"
 
 
 class TestMap:
@@ -376,6 +403,14 @@ class TestMap:
                       "--seq", "3,4")
         assert code == 2
 
+    def test_word_off_the_alphabet(self, capsys):
+        code = main(["map", "ballot-to-seq", "--k", "3", "--word", "AXB"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestVerify:
     def test_cell_passes(self, capsys):
@@ -383,6 +418,28 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is True
+
+    @staticmethod
+    def raise_boom(*args):
+        raise EmptyTupleError("boom")
+
+    # Each map made wrong in one way, and the check that must then fail.
+    @pytest.mark.parametrize("module,name,wrong,check", [
+        (trees, "sequence_of_tuple", raise_boom, "map-raised"),
+        (paths, "sequence_of_path", lambda path, l: threshold.validate(
+            (3, 6, 9), ThresholdParams(3, 1, 3)), "path-roundtrip"),
+        (ballot, "is_k_ballot_isolated", lambda word, k: False,
+         "ballot-isolated")], ids=["map-raised", "path-roundtrip",
+                                   "ballot-isolated"])
+    def test_failing_cell_exits_one(self, capsys, monkeypatch, module, name,
+                                    wrong, check):
+        monkeypatch.setattr(module, name, wrong)
+        code, out = run(capsys, "verify", "--k", "3", "--l", "1", "--n", "3")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert {cell["params"]["check"] for cell in report["cells"]
+                if not cell["pass"]} == {check}
 
     def test_no_offset_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -399,6 +456,15 @@ class TestIdentities:
         assert code == 0
         summary = json.loads(target.read_text())
         assert summary["all_sequences_match_raney"] is True
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["--suite", "identities"], 14), ([], 15)], ids=["identities", "all"])
+    def test_suites_pass(self, capsys, argv, lines):
+        code, out = run(capsys, "identities", *argv)
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert len(reports) == lines
+        assert all(report["pass"] is True for report in reports)
 
     def test_report_without_the_ballot_suite(self, capsys, tmp_path):
         target = tmp_path / "ballot.json"

@@ -172,6 +172,10 @@ class TestRaneyConvolution:
                 assert exactmath.raney_convolution(k, 1, n) == \
                     exactmath.fuss_catalan(k, n)
 
+    def test_invalid_r(self):
+        with pytest.raises(InvalidParameterError, match="r >= 1"):
+            exactmath.raney_convolution(2, 0, 3)
+
     def test_known_cell(self):
         # 612, frozen from the closed form checked against the tree-tuple
         # enumeration in test_trees
@@ -192,6 +196,10 @@ class TestMotzkin:
 
     def test_empty_path(self):
         assert exactmath.motzkin(0) == 1
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(InvalidParameterError, match="n >= 0"):
+            exactmath.motzkin(-1)
 
     def test_against_dfs_oracle(self):
         # M_6 = 51, frozen from the DFS oracle

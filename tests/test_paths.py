@@ -42,6 +42,10 @@ class TestPathOf:
         assert path.rises == EX7_RISES
         assert path.end_height == 3
 
+    def test_requires_offset_zero(self):
+        with pytest.raises(InvalidParameterError, match="offset 0"):
+            paths.path_of(threshold.shift(seq((3, 6), 3, 0), 2))
+
     @pytest.mark.parametrize("k,n", [(3, 4), (4, 3)])
     def test_staircase_is_flat(self, k, n):
         staircase = seq(tuple(k * i for i in range(1, n + 1)), k, 0)

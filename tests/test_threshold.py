@@ -23,6 +23,10 @@ class TestParams:
         with pytest.raises(InvalidParameterError):
             ThresholdParams(1, 0, 4)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(InvalidParameterError, match="n must be >= 0"):
+            ThresholdParams(2, 0, -1)
+
     def test_n_zero_allowed(self):
         assert threshold.count(ThresholdParams(3, 1, 0)) == 1
 
@@ -185,6 +189,10 @@ class TestCounts:
         proper = [s for s in threshold.enumerate_sequences(params)
                   if threshold.is_proper(s)]
         assert threshold.count_proper(params) == len(proper) == 1
+
+    def test_count_proper_n_zero_rejected(self):
+        with pytest.raises(InvalidParameterError, match="requires n >= 1"):
+            threshold.count_proper(ThresholdParams(3, 1, 0))
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_count_proper_l0_length1(self, k):

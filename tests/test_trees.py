@@ -47,6 +47,14 @@ class TestKaryTree:
         with pytest.raises(InvalidParameterError, match="entry arity"):
             TreeTuple(2, (trees.trivial(3),))
 
+    def test_empty_tuple_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one entry"):
+            TreeTuple(2, ())
+
+    def test_node_neither_null_nor_list(self):
+        with pytest.raises(InvalidParameterError, match="got 1"):
+            KaryTree.from_json(2, [1, None])
+
     def test_json_round_trip(self):
         tree = trees.build_from_internal_labels(4, 16, [16, 14, 12, 7])
         assert KaryTree.from_json(4, tree.to_json()) == tree
@@ -150,6 +158,10 @@ class TestBuildFromInternalLabels:
         with pytest.raises(UnreachableLabelError):
             trees.build_from_internal_labels(4, 16, [16, 3])
 
+    def test_repeated_label_rejected(self):
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            trees.build_from_internal_labels(2, 4, [4, 4])
+
     def test_root_label_mismatch(self):
         with pytest.raises(InvalidParameterError):
             trees.build_from_internal_labels(4, 16, [15, 14])
@@ -184,6 +196,10 @@ class TestForestAndTuple:
             forest = trees.forest_of(s)
             assert len(forest) == 1
             assert forest[0].internal_count == n
+
+    def test_requires_offset_zero(self):
+        with pytest.raises(InvalidParameterError, match="offset 0"):
+            trees.tuple_of(threshold.shift(seq((3, 6), 3, 0), 2))
 
     def test_example5_tuple(self):
         t = trees.tuple_of(seq((7, 9, 17, 18), 4, 2))
@@ -259,6 +275,13 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             list(trees.enumerate_trees(2, 5, budget=10))
+
+    # The library enumerators check their own arguments, eagerly.
+    @pytest.mark.parametrize("enumerate_, args", [
+        (trees.enumerate_trees, (1, 2)), (trees.enumerate_tuples, (2, 0, 1))])
+    def test_invalid_arguments_rejected(self, enumerate_, args):
+        with pytest.raises(InvalidParameterError):
+            enumerate_(*args)
 
     # SHA-256 of the words over the grid below, recorded before trees and
     # tuples were enumerated in one lazy pass: the order must not change.

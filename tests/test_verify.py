@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from raneyseq import exactmath, paths, threshold, trees, verify
-from raneyseq.errors import BudgetExceededError
+from raneyseq import ballot, exactmath, paths, threshold, trees, verify
+from raneyseq.errors import BudgetExceededError, EmptyTupleError
 from raneyseq.threshold import ThresholdParams
 from raneyseq.verify import Cell, VerifyReport
 
@@ -116,6 +116,41 @@ class TestBijectionSuite:
                                  ("tuple-surjective", 0),
                                  ("path-injective", count),
                                  ("path-surjective", 0)]]
+
+    # A map made wrong in one way fails one cell per sequence it gets
+    # wrong, and each cell names its sequence.
+    @staticmethod
+    def sequences_3_1_3():
+        return [list(s.values) for s in
+                threshold.enumerate_sequences(ThresholdParams(3, 1, 3))]
+
+    def test_map_raising_fails_a_cell_per_sequence(self, monkeypatch):
+        def boom(*args):
+            raise EmptyTupleError("boom")
+        monkeypatch.setattr(trees, "sequence_of_tuple", boom)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.observed) for c in report.failures] == [
+            ({"check": "map-raised", "seq": values}, "EmptyTupleError: boom")
+            for values in self.sequences_3_1_3()]
+        json.dumps(report.to_json())
+
+    def test_wrong_path_inverse_fails_its_round_trips(self, monkeypatch):
+        lowest = threshold.validate((3, 6, 9), ThresholdParams(3, 1, 3))
+        monkeypatch.setattr(paths, "sequence_of_path", lambda path, l: lowest)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "path-roundtrip", "seq": values}, values, [3, 6, 9])
+            for values in self.sequences_3_1_3() if values != [3, 6, 9]]
+
+    def test_word_not_ballot_isolated(self, monkeypatch):
+        monkeypatch.setattr(ballot, "is_k_ballot_isolated",
+                            lambda word, k: False)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "ballot-isolated", "seq": values}, True, False)
+            for values in self.sequences_3_1_3()]
 
     @pytest.mark.parametrize("edit", ["repeat", "drop"])
     @pytest.mark.parametrize("module,name,check", [
