@@ -212,6 +212,10 @@ def main(argv: list[str] | None = None) -> int:
     except (RaneyseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: n is too large for the recursive enumerator",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2

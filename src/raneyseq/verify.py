@@ -73,9 +73,15 @@ class VerifyReport:
 
 def oracle_sequences(k: int, l: int, n: int,
                      budget: int = DEFAULT_BUDGET) -> tuple[int, set[tuple[int, ...]]]:
-    """Count (k,l)-threshold sequences by filtering all strictly increasing
+    """Count (k,l)-threshold sequences by filtering the strictly increasing
     n-subsets of [k, kn+l] on the lower bounds s_i >= k*i.
 
+    The pool is split at c = k*(n//2 + 1).  For each a, the a-subsets of
+    [k, c) that pass the first a bounds are joined to the (n-a)-subsets of
+    [c, kn+l] that pass the rest.  This is exact: a sorted subset is its
+    part below c followed by its part from c, each bound applies to one
+    position, and the joins of different a never overlap.  Only
+    a <= n//2 can pass: the a-th value is at least k*a and below c.
     Independent of threshold.enumerate_sequences (subset filter, not
     backtracking).  Returns (count, set of value tuples).
     """
@@ -83,12 +89,17 @@ def oracle_sequences(k: int, l: int, n: int,
     if math.comb(len(pool), n) > budget * 8:
         raise BudgetExceededError(budget)
     mins = tuple(k * i for i in range(1, n + 1))
+    cut = k * (n // 2 + 1)
     found = set()
-    for cand in combinations(pool, n):
-        if all(map(operator.ge, cand, mins)):
-            found.add(cand)
-            if len(found) > budget:
-                raise BudgetExceededError(budget)
+    for a in range(n // 2 + 1):
+        lows = [low for low in combinations(range(k, cut), a)
+                if all(map(operator.ge, low, mins))]
+        highs = [high for high in combinations(range(cut, pool.stop), n - a)
+                 if all(map(operator.ge, high, mins[a:]))]
+        if len(found) + len(lows) * len(highs) > budget:
+            raise BudgetExceededError(budget)
+        for low in lows:
+            found.update(map(low.__add__, highs))
     return len(found), found
 
 

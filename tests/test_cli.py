@@ -238,6 +238,25 @@ def test_arity_below_two_rejected_alike(capsys, argv):
     assert captured.err == "error: k must be >= 2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--kind", "seq"],
+    ["enumerate", "--kind", "path"],
+    ["verify"]], ids=" ".join)
+def test_large_n_fails_in_one_line(argv):
+    # a fresh process, so the recursion limit and stderr are the real ones
+    src = os.path.dirname(os.path.dirname(raneyseq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "raneyseq.cli", *argv, "--k", "2",
+         "--n", "2000", "--budget", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestMap:
     def test_seq_to_path_example7(self, capsys):
         code, out = run(capsys, "map", "seq-to-path", "--k", "5", "--l", "3",

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import operator
 
 import pytest
 
@@ -49,6 +52,44 @@ class TestOracleSequences:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             verify.oracle_sequences(2, 0, 14, budget=100)
+
+    @pytest.mark.parametrize("budget", [20, 41])
+    def test_budget_on_the_count(self, budget):
+        # C(9, 5) = 126 <= 8 * 20 passes the scan guard; 42 sequences are found
+        with pytest.raises(BudgetExceededError):
+            verify.oracle_sequences(2, 0, 5, budget=budget)
+
+    def test_budget_equal_to_the_count(self):
+        assert verify.oracle_sequences(2, 0, 5, budget=42)[0] == 42
+
+    @pytest.mark.parametrize("k,l", [(k, l) for k in range(2, 6)
+                                     for l in range(k - 1)])
+    def test_matches_the_one_pass_filter(self, k, l):
+        def one_pass(n):
+            pool = range(k, k * n + l + 1)
+            mins = tuple(k * i for i in range(1, n + 1))
+            return {cand for cand in itertools.combinations(pool, n)
+                    if all(map(operator.ge, cand, mins))}
+
+        n = 0
+        while math.comb(len(range(k, k * n + l + 1)), n) <= 200_000:
+            expected = one_pass(n)
+            assert verify.oracle_sequences(k, l, n) == (len(expected), expected)
+            n += 1
+        assert n >= 6
+
+    def test_never_calls_the_enumerator(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the oracle called the code it checks")
+
+        monkeypatch.setattr(threshold, "enumerate_sequences", boom)
+        monkeypatch.setattr(threshold, "validate", boom)
+        count, found = verify.oracle_sequences(3, 1, 6)
+        assert count == len(found) == exactmath.raney(3, 2, 6)
+        for seq in found:
+            assert len(seq) == 6
+            assert all(3 * i <= s <= 19 for i, s in enumerate(seq, 1))
+            assert list(seq) == sorted(set(seq))
 
 
 class TestIdentitySuites:
