@@ -22,7 +22,7 @@ class BallotWord:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise InvalidParameterError("k must be >= 2")
-        if set(self.letters) - {"A", "B"}:
+        if self.letters.count("A") + self.letters.count("B") != len(self.letters):
             raise InvalidParameterError("letters must be over {A, B}")
 
     @property
@@ -38,12 +38,14 @@ def to_ballot(seq: ThresholdSequence) -> BallotWord:
     """Encode a threshold sequence as its ballot word W(S)."""
     if seq.d != 0:
         raise InvalidParameterError("to_ballot requires offset 0")
-    parts = ["A"]
-    prev = 0
-    for v in seq.values:
-        parts.append("A" * (v - prev) + "B")
-        prev = v
-    return BallotWord(seq.k, "".join(parts))
+    values = seq.values
+    if not values:
+        raise InvalidParameterError("to_ballot requires n >= 1")
+    # The i-th B follows the leading A, s_i A's and i - 1 B's.
+    letters = bytearray(b"A") * (values[-1] + len(values) + 1)
+    for i, v in enumerate(values, start=1):
+        letters[v + i] = 66  # ord("B")
+    return BallotWord(seq.k, letters.decode())
 
 
 def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:
@@ -56,7 +58,7 @@ def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:
     # run of A's, and only an empty one is malformed.
     if "" in blocks:
         raise MalformedWordError("every B must follow a non-empty run of A's")
-    values = list(accumulate(len(block) for block in blocks))
+    values = list(accumulate(map(len, blocks)))
     return validate(values, ThresholdParams(k, l, len(values)))
 
 

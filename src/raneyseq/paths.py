@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from .errors import HeightExceedsLimitError, InvalidParameterError
-from .threshold import ThresholdParams, ThresholdSequence, capped, validate
+from .threshold import ThresholdParams, ThresholdSequence, capped, int_entries
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,6 +27,9 @@ class ExtMotzkinPath:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise InvalidParameterError("k must be >= 2")
+        if not self.rises or (min(self.rises) > -self.k
+                              and min(accumulate(self.rises)) >= 0):
+            return  # valid; otherwise the loop names the first bad step
         height = 0
         for i, rise in enumerate(self.rises, start=1):
             if rise < -(self.k - 1):
@@ -56,28 +60,31 @@ class ExtMotzkinPath:
     def from_json(cls, data: dict | str) -> "ExtMotzkinPath":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["k"], tuple(data["rises"]))
+        return cls(data["k"], int_entries(data["rises"], "rise"))
 
 
 def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
     """Path(S): rise_i = s_i - s_{i-1} - k, with s_0 = 0."""
     if seq.d != 0:
         raise InvalidParameterError("path_of requires offset 0")
+    k = seq.k
     prev = 0
     rises = []
     for v in seq.values:
-        rises.append(v - prev - seq.k)
+        rises.append(v - prev - k)
         prev = v
-    return ExtMotzkinPath(seq.k, tuple(rises))
+    return ExtMotzkinPath(k, tuple(rises))
 
 
 def sequence_of_path(path: ExtMotzkinPath, l: int) -> ThresholdSequence:
-    """Inverse of path_of: s_i = y_i + i*k, validated as a (k,l)-sequence."""
-    params = ThresholdParams(path.k, l, path.n)
+    """Inverse of path_of: s_i = y_i + i*k.  The path's checks and the end
+    height are validate's three predicates on s, so none runs twice."""
+    k = path.k
+    params = ThresholdParams(k, l, path.n)
     if path.end_height > l:
         raise HeightExceedsLimitError(path.end_height, l)
-    values = [y + i * path.k for i, y in enumerate(path.heights, start=1)]
-    return validate(values, params)
+    values = map(add, accumulate(path.rises), range(k, k * path.n + 1, k))
+    return ThresholdSequence(params, tuple(values))
 
 
 def enumerate_paths(k: int, l: int, n: int,

@@ -80,7 +80,18 @@ class ThresholdSequence:
         if isinstance(data, str):
             data = json.loads(data)
         params = ThresholdParams(data["k"], data["l"], data["n"], data.get("d", 0))
-        return validate(data["values"], params)
+        return validate(int_entries(data["values"], "value"), params)
+
+
+def int_entries(items: Iterable, name: str) -> tuple[int, ...]:
+    """The items as a tuple; the first that is not an int, bool included,
+    raises InvalidParameterError with its (1-based) index."""
+    items = tuple(items)
+    for i, item in enumerate(items, start=1):
+        if type(item) is not int:
+            raise InvalidParameterError(
+                f"{name} {item!r} at index {i} is not an integer")
+    return items
 
 
 def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequence:
@@ -130,9 +141,10 @@ def cut_index(seq: ThresholdSequence) -> int:
 
 def cut_of(values: Sequence[int], k: int) -> int:
     """The cut index of a bare value list (see cut_index)."""
-    m, last = len(values), values[-1]
-    for i in range(m - 1, 0, -1):
-        if values[i - 1] < last - (m - i) * k:
+    bound = values[-1]
+    for i in range(len(values) - 1, 0, -1):
+        bound -= k  # s_n - (n-i)*k
+        if values[i - 1] < bound:
             return i
     return 0
 

@@ -231,8 +231,10 @@ def tuple_of(seq: ThresholdSequence) -> TreeTuple:
     Every other position holds the trivial tree."""
     if seq.d != 0:
         raise InvalidParameterError("forest construction requires offset 0")
-    k = seq.k
     values = seq.values
+    if not values:
+        raise InvalidParameterError("tuple_of requires n >= 1")
+    k = seq.k
     entries = [trivial(k)] * (seq.l + 1)
     prev_level = seq.l + 1
     while values:

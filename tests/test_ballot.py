@@ -39,6 +39,23 @@ class TestToBallot:
         with pytest.raises(InvalidParameterError):
             ballot.to_ballot(shifted)
 
+    def test_empty_sequence_rejected(self):
+        # Its word would be "A", which from_ballot rejects.
+        with pytest.raises(InvalidParameterError,
+                           match="^to_ballot requires n >= 1$"):
+            ballot.to_ballot(seq((), 3, 1))
+
+
+class TestBallotWord:
+    @pytest.mark.parametrize("letters", ["AaB", "A\u00c5B", "AB\n", "AB ", "ABC"])
+    def test_letters_outside_the_alphabet_rejected(self, letters):
+        with pytest.raises(InvalidParameterError, match="over {A, B}"):
+            BallotWord(3, letters)
+
+    @pytest.mark.parametrize("letters", ["", "A", "B", "AAAB", "BBA"])
+    def test_any_word_over_the_alphabet_accepted(self, letters):
+        assert BallotWord(3, letters).letters == letters
+
 
 class TestFromBallot:
     def test_single_block(self):

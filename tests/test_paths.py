@@ -31,9 +31,29 @@ class TestPathType:
         assert path.heights == (2, 5, 1, 1, 3, 0, 3)
         assert path.end_height == 3
 
+    def test_down_step_named_before_the_dip_at_its_index(self):
+        # Step 2 is too long and also ends below the axis.
+        with pytest.raises(InvalidParameterError,
+                           match="^down step -3 at position 2 exceeds k-1 = 2$"):
+            ExtMotzkinPath(3, (1, -3, 5))
+
+    def test_dip_named_before_a_later_down_step(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^path goes below the x-axis after step 2$"):
+            ExtMotzkinPath(3, (0, -1, -3))
+
     def test_json_round_trip(self):
         path = ExtMotzkinPath(5, EX7_RISES)
         assert ExtMotzkinPath.from_json(path.to_json()) == path
+
+    @pytest.mark.parametrize("rises,bad", [
+        ("[0.5, -0.5]", "rise 0.5 at index 1"),
+        ("[1, 0, -1.0]", "rise -1.0 at index 3"),
+        ("[true, false]", "rise True at index 1"),
+        ('[1, "0"]', "rise '0' at index 2")])
+    def test_json_rejects_rises_that_are_not_ints(self, rises, bad):
+        with pytest.raises(InvalidParameterError, match=f"^{bad} is not"):
+            ExtMotzkinPath.from_json(f'{{"k": 2, "rises": {rises}}}')
 
 
 class TestPathOf:
@@ -71,6 +91,11 @@ class TestSequenceOfPath:
         path = ExtMotzkinPath(4, (2,))
         with pytest.raises(HeightExceedsLimitError):
             paths.sequence_of_path(path, 1)
+
+    def test_empty_path(self):
+        empty = paths.sequence_of_path(ExtMotzkinPath(3, ()), 1)
+        assert empty == threshold.validate((), ThresholdParams(3, 1, 0))
+        assert paths.path_of(empty) == ExtMotzkinPath(3, ())
 
     def test_round_trip_over_paths(self):
         for path in paths.enumerate_paths(4, 2, 4):

@@ -107,6 +107,16 @@ class TestValidate:
         seq = threshold.validate(S2, ThresholdParams(3, 1, 6))
         assert threshold.ThresholdSequence.from_json(seq.to_json()) == seq
 
+    @pytest.mark.parametrize("values,bad", [
+        ("[2.5, 4.0]", "value 2.5 at index 1"),
+        ("[2, 4.0]", "value 4.0 at index 2"),
+        ("[2, true]", "value True at index 2"),
+        ("[null, 4]", "value None at index 1")])
+    def test_json_rejects_values_that_are_not_ints(self, values, bad):
+        text = f'{{"k": 2, "l": 0, "n": 2, "values": {values}}}'
+        with pytest.raises(InvalidParameterError, match=f"^{bad} is not"):
+            threshold.ThresholdSequence.from_json(text)
+
 
 class TestIsProper:
     def test_example1_classification(self):

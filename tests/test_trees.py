@@ -201,6 +201,12 @@ class TestForestAndTuple:
         with pytest.raises(InvalidParameterError, match="offset 0"):
             trees.tuple_of(threshold.shift(seq((3, 6), 3, 0), 2))
 
+    def test_empty_sequence_rejected(self):
+        # Its tuple would be all-trivial, which has no sequence.
+        with pytest.raises(InvalidParameterError,
+                           match="^tuple_of requires n >= 1$"):
+            trees.tuple_of(seq((), 3, 1))
+
     def test_example5_tuple(self):
         t = trees.tuple_of(seq((7, 9, 17, 18), 4, 2))
         assert t.trees[0].is_leaf
