@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvalidParameterError, MalformedWordError
+from .exactmath import check_knr
 from .threshold import ThresholdParams, ThresholdSequence, validate
 
 
@@ -20,8 +21,7 @@ class BallotWord:
     letters: str
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise InvalidParameterError("k must be >= 2")
+        check_knr(self.k)
         if self.letters.count("A") + self.letters.count("B") != len(self.letters):
             raise InvalidParameterError("letters must be over {A, B}")
 
@@ -50,6 +50,8 @@ def to_ballot(seq: ThresholdSequence) -> BallotWord:
 
 def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:
     """Decode W(S) back to the sequence of block-length prefix sums."""
+    if k != word.k:
+        raise InvalidParameterError(f"k = {k} disagrees with the word's k = {word.k}")
     letters = word.letters
     if not letters.startswith("A") or not letters.endswith("B"):
         raise MalformedWordError("word must start with A and end with B")

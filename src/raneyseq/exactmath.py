@@ -59,8 +59,7 @@ def binomial(n: int, j: int) -> int:
     (Kummer's theorem), in a balanced product tree.  The primes are sieved
     anew on every call; nothing is cached.
     """
-    if n < 0:
-        raise InvalidParameterError("binomial requires n >= 0")
+    check_knr(n=n)
     if j < 0 or j > n:
         return 0
     m = min(j, n - j)
@@ -140,7 +139,7 @@ def decimal_text(value: int) -> str:
 
 def fuss_catalan(k: int, n: int) -> int:
     """Number of k-ary trees with n internal nodes: C(kn, n) / ((k-1)n + 1)."""
-    _check_kn(k, n)
+    check_knr(k, n)
     return _exact_div(binomial(k * n, n), (k - 1) * n + 1)
 
 
@@ -155,9 +154,7 @@ def raney(k: int, r: int, n: int) -> int:
     Counts ordered r-tuples of k-ary trees with n internal nodes in total.
     Both known closed forms are evaluated and must agree.
     """
-    _check_kn(k, n)
-    if r <= 0:
-        raise InvalidParameterError("raney requires r >= 1")
+    check_knr(k, n, r)
     first = _exact_div(r * binomial(k * n + r, n), k * n + r)
     second = _exact_div(r * binomial(k * n + r - 1, n), (k - 1) * n + r)
     if first != second:
@@ -172,7 +169,7 @@ def fuss_catalan_rec(k: int, n: int) -> int:
     Bottom-up: conv[r - 1][m] is the r-fold convolution of F at m, so
     conv[0] is F itself; every row grows by one entry per m.
     """
-    _check_kn(k, n)
+    check_knr(k, n)
     conv: list[list[int]] = [[] for _ in range(k)]
     fuss = conv[0]
     for m in range(n + 1):
@@ -184,9 +181,7 @@ def fuss_catalan_rec(k: int, n: int) -> int:
 
 def raney_convolution(k: int, r: int, n: int) -> int:
     """raney by the r-fold convolution of closed-form fuss_catalan values."""
-    _check_kn(k, n)
-    if r <= 0:
-        raise InvalidParameterError("raney_convolution requires r >= 1")
+    check_knr(k, n, r)
     base = [fuss_catalan(k, i) for i in range(n + 1)]
     acc = [1] + [0] * n
     for _ in range(r):
@@ -201,8 +196,15 @@ def motzkin(n: int) -> int:
     return sum(binomial(n, 2 * j) * catalan(j) for j in range(n // 2 + 1))
 
 
-def _check_kn(k: int, n: int) -> None:
-    if k < 2:
-        raise InvalidParameterError("k must be >= 2")
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
+def check_knr(k: int = 2, n: int = 0, r: int = 1) -> None:
+    """Check an arity k, a size n and a tuple length r: each an int, bool
+    excluded, with k >= 2, n >= 0 and r >= 1.  The defaults pass, so a
+    caller names only what it takes."""
+    if type(k) is type(n) is type(r) is int and k >= 2 and n >= 0 and r >= 1:
+        return
+    for name, value in (("k", k), ("n", n), ("r", r)):
+        if type(value) is not int:
+            raise InvalidParameterError(f"{name} must be an int, got {value!r}")
+    raise InvalidParameterError(
+        "k must be >= 2" if k < 2 else "n must be >= 0" if n < 0 else
+        "a tuple needs r >= 1 trees")

@@ -9,14 +9,15 @@ path_of/sequence_of_path realize the rise-based bijection with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 from typing import Iterator
 
 from .errors import HeightExceedsLimitError, InvalidParameterError
-from .threshold import ThresholdParams, ThresholdSequence, capped, int_entries
+from .exactmath import check_knr
+from .threshold import (
+    ThresholdParams, ThresholdSequence, capped, int_entries, json_object)
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,8 +26,7 @@ class ExtMotzkinPath:
     rises: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise InvalidParameterError("k must be >= 2")
+        check_knr(self.k)
         if not self.rises or (min(self.rises) > -self.k
                               and min(accumulate(self.rises)) >= 0):
             return  # valid; otherwise the loop names the first bad step
@@ -58,8 +58,7 @@ class ExtMotzkinPath:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "ExtMotzkinPath":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_object(data, "k", "rises")
         return cls(data["k"], int_entries(data["rises"], "rise"))
 
 

@@ -31,14 +31,12 @@ class ThresholdParams:
     d: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise InvalidParameterError("k must be >= 2")
-        if not 0 <= self.l <= self.k - 2:
+        exactmath.check_knr(self.k, self.n)
+        if not (type(self.l) is type(self.d) is int and 0 <= self.l <= self.k - 2):
             # l = k-1 would merely re-encode length-(n+1) prefixes; reject it
             # so the count contracts stay honest.
-            raise InvalidParameterError(f"l must satisfy 0 <= l <= k-2, got l={self.l}")
-        if self.n < 0:
-            raise InvalidParameterError("n must be >= 0")
+            raise InvalidParameterError("l must satisfy 0 <= l <= k-2, and l and d "
+                                        f"must be ints; got l={self.l!r}, d={self.d!r}")
 
     def lower(self, i: int) -> int:
         """Lower bound k*i + d for the i-th value (1-based)."""
@@ -77,10 +75,21 @@ class ThresholdSequence:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "ThresholdSequence":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_object(data, "k", "l", "n", "values")
         params = ThresholdParams(data["k"], data["l"], data["n"], data.get("d", 0))
         return validate(int_entries(data["values"], "value"), params)
+
+
+def json_object(data: dict | str, *keys: str) -> dict:
+    """The JSON object that data is or holds as text, with every key."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"not a JSON object: {data!r}")
+    for key in keys:
+        if key not in data:
+            raise InvalidParameterError(f"missing key {key!r}")
+    return data
 
 
 def int_entries(items: Iterable, name: str) -> tuple[int, ...]:
@@ -189,15 +198,12 @@ def count(params: ThresholdParams) -> int:
 
 
 def count_proper(params: ThresholdParams) -> int:
-    """Number of proper (k,l)-threshold sequences of length n.
-
-    For l >= 1 this is R_{n-1}^(k, k+l); for l = 0 every sequence is
-    proper, so it equals count.
-    """
+    """Number of proper (k,l)-threshold sequences of length n: the Raney
+    number R_{n-1}^(k, k+l).  At l = 0 every sequence is proper, and this
+    is count, R_n^(k, 1): a k-ary tree with n internal nodes is a root
+    over a k-tuple of trees with n - 1 internal nodes in total."""
     if params.n < 1:
         raise InvalidParameterError("count_proper requires n >= 1")
-    if params.l == 0:
-        return exactmath.raney(params.k, 1, params.n)
     return exactmath.raney(params.k, params.k + params.l, params.n - 1)
 
 

@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameterError,
     UnreachableLabelError,
 )
+from .exactmath import check_knr
 from .threshold import ThresholdParams, ThresholdSequence, capped, cut_of, validate
 
 
@@ -43,9 +44,7 @@ class KaryTree:
 
     @classmethod
     def _of(cls, k: int, word: bytes) -> KaryTree:
-        """The tree of a word already known to be a k-ary level-order word."""
-        if k < 2:
-            raise InvalidParameterError("k must be >= 2")
+        """The tree of a k-ary level-order word, k and word already checked."""
         tree = cls.__new__(cls)
         tree.k, tree.word = k, word
         return tree
@@ -106,7 +105,7 @@ class KaryTree:
     @classmethod
     def _of_json(cls, k: int, data) -> KaryTree:
         """The tree of a decoded JSON encoding (a text node is malformed)."""
-        cls._of(k, b"")  # the arity first, whatever the encoding
+        check_knr(k)  # the arity first, whatever the encoding
         word = bytearray()
         nodes = [data]
         for node in nodes:  # grows as it is read: a BFS queue
@@ -123,6 +122,7 @@ class KaryTree:
 
 def trivial(k: int) -> KaryTree:
     """The trivial tree: a single leaf."""
+    check_knr(k)
     return KaryTree._of(k, b"\x00")
 
 
@@ -136,6 +136,7 @@ class TreeTuple:
     def __post_init__(self) -> None:
         if not self.trees:
             raise InvalidParameterError("a tree tuple needs at least one entry")
+        check_knr(self.k)
         for tree in self.trees:
             if tree.k != self.k:
                 raise InvalidParameterError("tuple entry arity mismatch")
@@ -205,6 +206,7 @@ def build_from_internal_labels(k: int, w: int,
     satisfy l_j >= w - (j-1)*k; otherwise the j-th label would lie below
     every node of the partially built tree.
     """
+    check_knr(k)
     ordered = sorted(labels, reverse=True)
     if len(set(ordered)) != len(ordered):
         raise InvalidParameterError("labels must be distinct")
@@ -235,7 +237,7 @@ def tuple_of(seq: ThresholdSequence) -> TreeTuple:
     if not values:
         raise InvalidParameterError("tuple_of requires n >= 1")
     k = seq.k
-    entries = [trivial(k)] * (seq.l + 1)
+    entries = [KaryTree._of(k, b"\x00")] * (seq.l + 1)
     prev_level = seq.l + 1
     while values:
         # The piece after the cut index holds only reachable labels.
@@ -336,8 +338,7 @@ def enumerate_trees(k: int, n: int,
                     budget: int | None = None) -> Iterator[KaryTree]:
     """Yield each k-ary tree with n internal nodes exactly once, ordered by
     the lexicographic child internal-count composition."""
-    if k < 2 or n < 0:
-        raise InvalidParameterError("need k >= 2 and n >= 0")
+    check_knr(k, n)
     return capped(_trees(k, _tree_words(k, n)), budget)
 
 
@@ -363,8 +364,7 @@ def enumerate_tuples(k: int, r: int, n: int,
                      budget: int | None = None) -> Iterator[TreeTuple]:
     """Yield all ordered r-tuples of k-ary trees with n internal nodes in
     total, each exactly once."""
-    if k < 2 or r < 1 or n < 0:
-        raise InvalidParameterError("need k >= 2, r >= 1 and n >= 0")
+    check_knr(k, n, r)
     return capped(_iter_tuples(k, r, n), budget)
 
 

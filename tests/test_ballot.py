@@ -75,6 +75,11 @@ class TestFromBallot:
         with pytest.raises(BoundViolationError):
             ballot.from_ballot(BallotWord(3, "AAB"), 3, 0)
 
+    def test_k_disagreeing_with_the_word_rejected(self):
+        # decoded with k = 3, the word's (4,) would pass as a (3,1,1) sequence
+        with pytest.raises(InvalidParameterError, match="disagrees"):
+            ballot.from_ballot(BallotWord(4, "AAAAAB"), 3, 1)
+
     @pytest.mark.parametrize("k,l,n", [(3, 1, 3), (2, 0, 4), (4, 2, 3)])
     def test_round_trip(self, k, l, n):
         params = ThresholdParams(k, l, n)

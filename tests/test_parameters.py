@@ -1,0 +1,65 @@
+"""Every public entry point that takes k, l, n, d or r rejects a value of
+the wrong type or range with InvalidParameterError naming the parameter."""
+
+import inspect
+
+import pytest
+
+from raneyseq import exactmath, paths, threshold, trees
+from raneyseq.ballot import BallotWord
+from raneyseq.errors import InvalidParameterError
+from raneyseq.paths import ExtMotzkinPath
+from raneyseq.threshold import ThresholdParams, ThresholdSequence
+from raneyseq.trees import KaryTree, TreeTuple
+
+SEQ = threshold.validate((3, 6), ThresholdParams(3, 1, 2))
+GOOD = {"k": 3, "l": 1, "n": 2, "r": 2, "d": 0}
+BAD = {"k": [1, 2.0, True, "3"], "n": [-1, 1.0], "r": [0, 1.0],
+       "l": [True, 0.0], "d": [0.5]}
+
+# Each entry point, called with the parameters its lambda names.
+ENTRY_POINTS = {
+    "ThresholdParams": lambda k, l, n, d: ThresholdParams(k, l, n, d),
+    "ThresholdSequence.from_json": lambda k, l, n, d: ThresholdSequence.from_json(
+        {"k": k, "l": l, "n": n, "d": d, "values": [3, 6]}),
+    "shift": lambda d: threshold.shift(SEQ, d),
+    "ExtMotzkinPath": lambda k: ExtMotzkinPath(k, (1, -1)),
+    "ExtMotzkinPath.from_json": lambda k: ExtMotzkinPath.from_json(
+        {"k": k, "rises": [1, -1]}),
+    "BallotWord": lambda k: BallotWord(k, "AAAAB"),
+    "KaryTree": lambda k: KaryTree(k),
+    "KaryTree.from_json": lambda k: KaryTree.from_json(k, "[null, null, null]"),
+    "trivial": lambda k: trees.trivial(k),
+    "build_from_internal_labels": lambda k: trees.build_from_internal_labels(
+        k, 3, [3]),
+    "TreeTuple": lambda k: TreeTuple(k, (trees.trivial(3),)),
+    "enumerate_sequences": lambda k, l, n: threshold.enumerate_sequences(
+        ThresholdParams(k, l, n)),
+    "enumerate_trees": lambda k, n: trees.enumerate_trees(k, n),
+    "enumerate_tuples": lambda k, r, n: trees.enumerate_tuples(k, r, n),
+    "enumerate_paths": lambda k, l, n: paths.enumerate_paths(k, l, n),
+    "raney": lambda k, r, n: exactmath.raney(k, r, n),
+    "raney_convolution": lambda k, r, n: exactmath.raney_convolution(k, r, n),
+    "fuss_catalan": lambda k, n: exactmath.fuss_catalan(k, n),
+}
+
+
+def _args(entry):
+    return list(inspect.signature(ENTRY_POINTS[entry]).parameters)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_good_parameters_accepted(entry):
+    ENTRY_POINTS[entry](**{name: GOOD[name] for name in _args(entry)})
+
+
+@pytest.mark.parametrize("entry,name,value", [
+    pytest.param(entry, name, value, id=f"{entry}-{name}={value!r}")
+    for entry in ENTRY_POINTS for name in _args(entry) for value in BAD[name]])
+def test_bad_parameter_named(entry, name, value):
+    args = {arg: GOOD[arg] for arg in _args(entry)} | {name: value}
+    # k = 1, the one bad int k, reads the same everywhere
+    pattern = "^k must be >= 2$" if name == "k" and type(value) is int \
+        else rf"\b{name}\b"
+    with pytest.raises(InvalidParameterError, match=pattern):
+        ENTRY_POINTS[entry](**args)

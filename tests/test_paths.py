@@ -55,6 +55,15 @@ class TestPathType:
         with pytest.raises(InvalidParameterError, match=f"^{bad} is not"):
             ExtMotzkinPath.from_json(f'{{"k": 2, "rises": {rises}}}')
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"rises": [1]}', "^missing key 'k'$"),
+        ('{"k": 2}', "^missing key 'rises'$"),
+        ("5", "^not a JSON object: 5$"),
+        ("[2, [1]]", "^not a JSON object: ")])
+    def test_json_that_is_not_a_path_object(self, text, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            ExtMotzkinPath.from_json(text)
+
 
 class TestPathOf:
     def test_example7(self):

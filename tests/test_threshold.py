@@ -117,6 +117,20 @@ class TestValidate:
         with pytest.raises(InvalidParameterError, match=f"^{bad} is not"):
             threshold.ThresholdSequence.from_json(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"k": 3, "l": 0, "n": 1}', "^missing key 'values'$"),
+        ('{"l": 0, "n": 1, "values": [3]}', "^missing key 'k'$"),
+        ("[3]", "^not a JSON object: \\[3\\]$"),
+        ("5", "^not a JSON object: 5$")])
+    def test_json_that_is_not_a_sequence_object(self, text, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            threshold.ThresholdSequence.from_json(text)
+
+    def test_json_offset_defaults_to_zero(self):
+        seq = threshold.ThresholdSequence.from_json(
+            '{"k": 3, "l": 0, "n": 1, "values": [3]}')
+        assert seq.d == 0 and seq.values == (3,)
+
 
 class TestIsProper:
     def test_example1_classification(self):
@@ -203,6 +217,14 @@ class TestCounts:
     def test_count_proper_n_zero_rejected(self):
         with pytest.raises(InvalidParameterError, match="requires n >= 1"):
             threshold.count_proper(ThresholdParams(3, 1, 0))
+
+    @pytest.mark.parametrize("k,n", [
+        (k, n) for k in (2, 3, 4, 5) for n in range(1, 9)
+        if exactmath.raney(k, 1, n) <= 10 ** 5])
+    def test_count_proper_l0_matches_enumeration(self, k, n):
+        params = ThresholdParams(k, 0, n)
+        assert threshold.count_proper(params) == sum(
+            threshold.is_proper(s) for s in threshold.enumerate_sequences(params))
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_count_proper_l0_length1(self, k):
