@@ -7,8 +7,9 @@ letters A followed by a single B.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .errors import InvalidParameterError, MalformedWordError
 from .exactmath import check_knr
@@ -22,8 +23,10 @@ class BallotWord:
 
     def __post_init__(self) -> None:
         check_knr(self.k)
-        if self.letters.count("A") + self.letters.count("B") != len(self.letters):
-            raise InvalidParameterError("letters must be over {A, B}")
+        letters = self.letters
+        if not (isinstance(letters, str)
+                and letters.count("A") + letters.count("B") == len(letters)):
+            raise InvalidParameterError("letters must be a str over {A, B}")
 
     @property
     def a_count(self) -> int:
@@ -67,19 +70,9 @@ def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:
 def is_k_ballot_isolated(word: BallotWord, k: int) -> bool:
     """True iff the B's are isolated, the last letter is B, and after each
     B the prefix satisfies #A >= k * #B + 1."""
-    letters = word.letters
-    if not letters or letters[-1] != "B":
-        return False
-    a = b = 0
-    prev = ""
-    for ch in letters:
-        if ch == "B":
-            if prev != "A":
-                return False
-            b += 1
-            if a < k * b + 1:
-                return False
-        else:
-            a += 1
-        prev = ch
-    return True
+    # The i-th block holds the A's between B i - 1 and B i, so an empty
+    # block is a B that does not follow an A.
+    blocks = word.letters[:-1].split("B")
+    return (word.letters.endswith("B") and "" not in blocks
+            and all(map(operator.ge, accumulate(map(len, blocks)),
+                        count(k + 1, k))))

@@ -27,6 +27,8 @@ class ExtMotzkinPath:
 
     def __post_init__(self) -> None:
         check_knr(self.k)
+        if not isinstance(self.rises, tuple):
+            raise InvalidParameterError(f"rises must be a tuple, got {self.rises!r}")
         if not self.rises or (min(self.rises) > -self.k
                               and min(accumulate(self.rises)) >= 0):
             return  # valid; otherwise the loop names the first bad step

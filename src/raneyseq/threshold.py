@@ -92,9 +92,11 @@ def json_object(data: dict | str, *keys: str) -> dict:
     return data
 
 
-def int_entries(items: Iterable, name: str) -> tuple[int, ...]:
-    """The items as a tuple; the first that is not an int, bool included,
-    raises InvalidParameterError with its (1-based) index."""
+def int_entries(items: list | tuple, name: str) -> tuple[int, ...]:
+    """The items of a list or tuple as a tuple; the first that is not an int,
+    bool included, raises InvalidParameterError with its (1-based) index."""
+    if not isinstance(items, (list, tuple)):
+        raise InvalidParameterError(f"{name}s must be a list, got {items!r}")
     items = tuple(items)
     for i, item in enumerate(items, start=1):
         if type(item) is not int:

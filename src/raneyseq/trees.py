@@ -36,8 +36,9 @@ class KaryTree:
 
     def __init__(self, k: int, children: Sequence[KaryTree] = ()) -> None:
         # A leaf's JSON carries no arity, so the reader cannot see this.
-        if any(child.k != k for child in children):
-            raise InvalidParameterError("child arity mismatch")
+        if not all(isinstance(child, KaryTree) and child.k == k
+                   for child in children):
+            raise InvalidParameterError("child not a KaryTree, or child arity mismatch")
         self.k = k
         self.word = KaryTree._of_json(
             k, [child.to_json() for child in children] or None).word
@@ -134,12 +135,15 @@ class TreeTuple:
     trees: tuple[KaryTree, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trees, tuple):
+            raise InvalidParameterError(f"trees must be a tuple, got {self.trees!r}")
         if not self.trees:
             raise InvalidParameterError("a tree tuple needs at least one entry")
         check_knr(self.k)
         for tree in self.trees:
-            if tree.k != self.k:
-                raise InvalidParameterError("tuple entry arity mismatch")
+            if not isinstance(tree, KaryTree) or tree.k != self.k:
+                raise InvalidParameterError(
+                    "tuple entry not a KaryTree, or entry arity mismatch")
 
     @property
     def r(self) -> int:
@@ -344,20 +348,19 @@ def enumerate_trees(k: int, n: int,
 
 def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
     """For each composition of n into r parts, in lexicographic order, the
-    product of the trees of each part's size, the last part fastest."""
-    top = _trees(k, _tree_words(k, n))
-    if r == 1:
-        yield from map(TreeTuple, itertools.repeat(k), zip(top))
-        return
-    # The first composition, (0, ..., 0, n), streams size n, kept as it goes.
-    leaves, kept = (trivial(k),) * (r - 1), []
-    for tree in top:
-        kept.append(tree)
-        yield TreeTuple(k, (*leaves, tree))
-    by_size = [list(_trees(k, _tree_words(k, m))) for m in range(n)] + [kept]
-    for comp in itertools.islice(_compositions(n, r), 1, None):
-        yield from map(TreeTuple, itertools.repeat(k),
-                       itertools.product(*(by_size[c] for c in comp)))
+    product of the trees of each part's size, the last part fastest.  Only
+    the smaller sizes are kept: a part n, leaves beside it, streams size n."""
+    leaves, smaller = itertools.repeat(trivial(k)), []
+    for comp in _compositions(n, r):
+        if n in comp:
+            parts = [leaves] * r
+            parts[comp.index(n)] = _trees(k, _tree_words(k, n))
+            tuples = zip(*parts)
+        else:
+            smaller = smaller or [list(_trees(k, _tree_words(k, m)))
+                                  for m in range(n)]
+            tuples = itertools.product(*(smaller[c] for c in comp))
+        yield from map(TreeTuple, itertools.repeat(k), tuples)
 
 
 def enumerate_tuples(k: int, r: int, n: int,

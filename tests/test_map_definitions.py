@@ -2,11 +2,13 @@
 element: on every sequence of every (k, l) with k <= 5 and n <= 5, and on
 seeded sequences at n = 2000."""
 
+import itertools
 import random
 
 import pytest
 
 from raneyseq import ballot, paths, threshold
+from raneyseq.ballot import BallotWord
 from raneyseq.errors import InvalidParameterError
 from raneyseq.paths import ExtMotzkinPath
 from raneyseq.threshold import ThresholdParams
@@ -51,6 +53,26 @@ def values_of_word_by_definition(word):
         else:
             values.append(a_seen - 1)
     return tuple(values)
+
+
+def isolated_by_definition(letters, k):
+    """The last letter is B, every B follows an A, and after each B the
+    prefix holds #A >= k * #B + 1, read letter by letter."""
+    if not letters or letters[-1] != "B":
+        return False
+    a = b = 0
+    prev = ""
+    for ch in letters:
+        if ch == "B":
+            if prev != "A":
+                return False
+            b += 1
+            if a < k * b + 1:
+                return False
+        else:
+            a += 1
+        prev = ch
+    return True
 
 
 def cut_by_definition(values, k):
@@ -117,8 +139,24 @@ def test_maps_equal_their_definitions(sequences):
         assert ballot.from_ballot(word, k, l).values == (
             values_of_word_by_definition(word.letters)) == values
         assert threshold.cut_of(values, k) == cut_by_definition(values, k)
+        # at k + 1 the prefix bound fails for many words
+        for k_ in (k, k + 1):
+            assert ballot.is_k_ballot_isolated(word, k_) == (
+                isolated_by_definition(word.letters, k_))
         checked += 1
     assert checked > 10
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_isolated_check_equals_its_definition(k):
+    """Every word over {A, B} of length up to 10."""
+    found = set()
+    for length in range(11):
+        for letters in map("".join, itertools.product("AB", repeat=length)):
+            expected = isolated_by_definition(letters, k)
+            assert ballot.is_k_ballot_isolated(BallotWord(k, letters), k) == expected
+            found.add(expected)
+    assert found == {False, True}
 
 
 @pytest.mark.parametrize("k,l", CELLS)

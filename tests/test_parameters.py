@@ -1,5 +1,6 @@
 """Every public entry point that takes k, l, n, d or r rejects a value of
-the wrong type or range with InvalidParameterError naming the parameter."""
+the wrong type or range with InvalidParameterError naming the parameter;
+each constructor and reader also rejects a container of the wrong type."""
 
 import inspect
 
@@ -63,3 +64,24 @@ def test_bad_parameter_named(entry, name, value):
         else rf"\b{name}\b"
     with pytest.raises(InvalidParameterError, match=pattern):
         ENTRY_POINTS[entry](**args)
+
+
+# The letters, rises, trees, children and JSON entry lists of each type,
+# each given as a container of the wrong type.
+BAD_CONTAINERS = {
+    "values-5": lambda: ThresholdSequence.from_json(
+        '{"k":3,"l":0,"n":1,"values":5}'),
+    "rises-null": lambda: ExtMotzkinPath.from_json('{"k":3,"rises":null}'),
+    "letters-int": lambda: BallotWord(3, 5),
+    "letters-bytes": lambda: BallotWord(3, b"AAB"),
+    "rises-list": lambda: ExtMotzkinPath(3, [1, 0]),
+    "trees-list": lambda: TreeTuple(3, [trees.trivial(3)]),
+    "trees-none": lambda: TreeTuple(3, (None,)),
+    "children-none": lambda: KaryTree(3, [None] * 3),
+}
+
+
+@pytest.mark.parametrize("build", BAD_CONTAINERS.values(), ids=BAD_CONTAINERS)
+def test_container_of_the_wrong_type_rejected(build):
+    with pytest.raises(InvalidParameterError):
+        build()

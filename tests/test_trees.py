@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -320,6 +321,21 @@ class TestEnumeration:
         first = next(trees.enumerate_tuples(3, 2, 5000))
         assert first == TreeTuple(3, (trees.trivial(3), KaryTree._of(
             3, b"\x01\x00\x00" * 5000 + b"\x00")))
+
+    def test_tuples_keep_only_the_smaller_trees(self):
+        # Size n is streamed once per composition that holds it, never
+        # kept: the peak measured 322,000 bytes on Python 3.11.7, and
+        # 1,195,000 with the 7,752 trees of size 7 kept.
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            found = sum(1 for _ in trees.enumerate_tuples(3, 2, 7))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert found == exactmath.raney(3, 2, 7)
+        assert peak < 600_000
 
     @pytest.mark.parametrize("enumerate_, args", [
         (trees.enumerate_trees, (2, 14)), (trees.enumerate_tuples, (3, 2, 12))])
