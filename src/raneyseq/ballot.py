@@ -13,7 +13,7 @@ from itertools import accumulate, count
 
 from .errors import InvalidParameterError, MalformedWordError
 from .exactmath import check_knr
-from .threshold import ThresholdParams, ThresholdSequence, validate
+from .threshold import ThresholdParams, ThresholdSequence, unshifted, validate
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,11 +39,8 @@ class BallotWord:
 
 def to_ballot(seq: ThresholdSequence) -> BallotWord:
     """Encode a threshold sequence as its ballot word W(S)."""
-    if seq.d != 0:
-        raise InvalidParameterError("to_ballot requires offset 0")
-    values = seq.values
-    if not values:
-        raise InvalidParameterError("to_ballot requires n >= 1")
+    values = unshifted(seq, "to_ballot")
+    seq.params.require_n("to_ballot")
     # The i-th B follows the leading A, s_i A's and i - 1 B's.
     letters = bytearray(b"A") * (values[-1] + len(values) + 1)
     for i, v in enumerate(values, start=1):
@@ -70,6 +67,7 @@ def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:
 def is_k_ballot_isolated(word: BallotWord, k: int) -> bool:
     """True iff the B's are isolated, the last letter is B, and after each
     B the prefix satisfies #A >= k * #B + 1."""
+    check_knr(k)
     # The i-th block holds the A's between B i - 1 and B i, so an empty
     # block is a B that does not follow an A.
     blocks = word.letters[:-1].split("B")

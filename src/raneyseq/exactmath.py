@@ -191,8 +191,9 @@ def raney_convolution(k: int, r: int, n: int) -> int:
 
 def motzkin(n: int) -> int:
     """Motzkin number M_n = sum_j C(n, 2j) * catalan(j)."""
-    if n < 0:
+    if type(n) is int and n < 0:
         raise InvalidParameterError("motzkin requires n >= 0")
+    check_knr(n=n)  # names an n that is not an int
     return sum(binomial(n, 2 * j) * catalan(j) for j in range(n // 2 + 1))
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import HeightExceedsLimitError, InvalidParameterError
 from .exactmath import check_knr
 from .threshold import (
-    ThresholdParams, ThresholdSequence, capped, int_entries, json_object)
+    ThresholdParams, ThresholdSequence, capped, int_entries, json_object, unshifted)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,12 +66,10 @@ class ExtMotzkinPath:
 
 def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
     """Path(S): rise_i = s_i - s_{i-1} - k, with s_0 = 0."""
-    if seq.d != 0:
-        raise InvalidParameterError("path_of requires offset 0")
     k = seq.k
     prev = 0
     rises = []
-    for v in seq.values:
+    for v in unshifted(seq, "path_of"):
         rises.append(v - prev - k)
         prev = v
     return ExtMotzkinPath(k, tuple(rises))
@@ -96,9 +94,7 @@ def enumerate_paths(k: int, l: int, n: int,
     y_i <= l + (n-i)*(k-1), which makes the search finite; rises are
     explored in increasing numeric order.
     """
-    ThresholdParams(k, l, n)  # checks k and l as for sequences
-    if n < 1:
-        raise InvalidParameterError("enumeration requires n >= 1")
+    ThresholdParams(k, l, n).require_n("enumeration")
     rises: list[int] = []
 
     def extend(i: int, height: int) -> Iterator[ExtMotzkinPath]:

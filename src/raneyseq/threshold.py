@@ -38,6 +38,11 @@ class ThresholdParams:
             raise InvalidParameterError("l must satisfy 0 <= l <= k-2, and l and d "
                                         f"must be ints; got l={self.l!r}, d={self.d!r}")
 
+    def require_n(self, name: str) -> None:
+        """Raise InvalidParameterError unless n >= 1, as name requires."""
+        if self.n < 1:
+            raise InvalidParameterError(f"{name} requires n >= 1")
+
     def lower(self, i: int) -> int:
         """Lower bound k*i + d for the i-th value (1-based)."""
         return self.k * i + self.d
@@ -131,10 +136,16 @@ def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequenc
             raise BoundViolationError(i, value)
 
 
+def unshifted(seq: ThresholdSequence, name: str) -> tuple[int, ...]:
+    """The values of seq; InvalidParameterError unless d = 0, as name requires."""
+    if seq.d != 0:
+        raise InvalidParameterError(f"{name} requires offset 0")
+    return seq.values
+
+
 def is_proper(seq: ThresholdSequence) -> bool:
     """True iff s_n = k*n + l + d."""
-    if not seq.values:
-        raise InvalidParameterError("is_proper requires n >= 1")
+    seq.params.require_n("is_proper")
     return seq.values[-1] == seq.params.upper
 
 
@@ -143,11 +154,9 @@ def cut_index(seq: ThresholdSequence) -> int:
 
     Defined for unshifted sequences only; normalize via shift first.
     """
-    if seq.d != 0:
-        raise InvalidParameterError("cut_index requires offset 0")
-    if not seq.values:
-        raise InvalidParameterError("cut_index requires n >= 1")
-    return cut_of(seq.values, seq.k)
+    values = unshifted(seq, "cut_index")
+    seq.params.require_n("cut_index")
+    return cut_of(values, seq.k)
 
 
 def cut_of(values: Sequence[int], k: int) -> int:
@@ -173,8 +182,7 @@ def enumerate_sequences(params: ThresholdParams,
                         budget: int | None = None) -> Iterator[ThresholdSequence]:
     """Yield every (k,l)-threshold sequence with the given parameters,
     exactly once, in lexicographic order of value lists."""
-    if params.n < 1:
-        raise InvalidParameterError("enumeration requires n >= 1")
+    params.require_n("enumeration")
     upper = params.upper
     prefix: list[int] = []
 
@@ -204,8 +212,7 @@ def count_proper(params: ThresholdParams) -> int:
     number R_{n-1}^(k, k+l).  At l = 0 every sequence is proper, and this
     is count, R_n^(k, 1): a k-ary tree with n internal nodes is a root
     over a k-tuple of trees with n - 1 internal nodes in total."""
-    if params.n < 1:
-        raise InvalidParameterError("count_proper requires n >= 1")
+    params.require_n("count_proper")
     return exactmath.raney(params.k, params.k + params.l, params.n - 1)
 
 

@@ -26,7 +26,8 @@ from .errors import (
     UnreachableLabelError,
 )
 from .exactmath import check_knr
-from .threshold import ThresholdParams, ThresholdSequence, capped, cut_of, validate
+from .threshold import (
+    ThresholdParams, ThresholdSequence, capped, cut_of, unshifted, validate)
 
 
 class KaryTree:
@@ -35,6 +36,8 @@ class KaryTree:
     __slots__ = ("k", "word")
 
     def __init__(self, k: int, children: Sequence[KaryTree] = ()) -> None:
+        if not isinstance(children, (list, tuple)):
+            raise InvalidParameterError(f"children must be a list, got {children!r}")
         # A leaf's JSON carries no arity, so the reader cannot see this.
         if not all(isinstance(child, KaryTree) and child.k == k
                    for child in children):
@@ -235,11 +238,8 @@ def tuple_of(seq: ThresholdSequence) -> TreeTuple:
     piece after the p-th cut is the tree A^p; it goes to position l_p + 1,
     where l_p is the level of the residual prefix Q_p before the cut.
     Every other position holds the trivial tree."""
-    if seq.d != 0:
-        raise InvalidParameterError("forest construction requires offset 0")
-    values = seq.values
-    if not values:
-        raise InvalidParameterError("tuple_of requires n >= 1")
+    values = unshifted(seq, "tuple_of")
+    seq.params.require_n("tuple_of")
     k = seq.k
     entries = [KaryTree._of(k, b"\x00")] * (seq.l + 1)
     prev_level = seq.l + 1
@@ -276,17 +276,15 @@ def sequence_of_tuple(t: TreeTuple, n: int | None = None) -> ThresholdSequence:
     total = t.internal_total
     if total == 0:
         raise EmptyTupleError("all-trivial tuple has no sequence")
-    if n is None:
-        n = total
-    elif n != total:
+    params = ThresholdParams(t.k, t.r - 1, total if n is None else n)
+    if params.n != total:
         raise InvalidParameterError(
             f"tuple has {total} internal nodes, expected {n}")
-    k = t.k
     descending: list[int] = []
     for y in range(t.r, 0, -1):
         descending += internal_labels(t.trees[y - 1],
-                                      k * (n - len(descending)) + y - 1)
-    return validate(descending[::-1], ThresholdParams(k, t.r - 1, n))
+                                      t.k * (total - len(descending)) + y - 1)
+    return validate(descending[::-1], params)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -85,6 +85,7 @@ def oracle_sequences(k: int, l: int, n: int,
     Independent of threshold.enumerate_sequences (subset filter, not
     backtracking).  Returns (count, set of value tuples).
     """
+    ThresholdParams(k, l, n)  # checks k, l and n as for sequences
     pool = range(k, k * n + l + 1)
     if math.comb(len(pool), n) > budget * 8:
         raise BudgetExceededError(budget)
@@ -206,6 +207,7 @@ def check_prop6(n_max: int) -> VerifyReport:
 
 def check_raney_difference(k: int, l: int, n_max: int) -> VerifyReport:
     """R_n^(k,l+1) - R_n^(k,l) = R_{n-1}^(k,k+l) for 1 <= l <= k-2."""
+    ThresholdParams(k, l, n_max)  # checks k, l and n_max as for sequences
     with VerifyReport("raney-difference") as report:
         for n in range(1, n_max + 1):
             report.add({"k": k, "l": l, "n": n},

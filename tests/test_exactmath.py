@@ -162,6 +162,14 @@ class TestRaney:
         assert exactmath.raney(k, r, n) == expected
 
 
+class TestCheckKnr:
+    def test_r_zero_named_at_n_zero(self):
+        # n = 0 is in range, so the message names r, not n
+        with pytest.raises(InvalidParameterError,
+                           match="^a tuple needs r >= 1 trees$"):
+            exactmath.check_knr(2, 0, 0)
+
+
 class TestRaneyConvolution:
     def test_paper_value(self):
         assert exactmath.raney_convolution(3, 2, 2) == 7

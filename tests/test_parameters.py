@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from raneyseq import exactmath, paths, threshold, trees
+from raneyseq import ballot, exactmath, paths, threshold, trees, verify
 from raneyseq.ballot import BallotWord
 from raneyseq.errors import InvalidParameterError
 from raneyseq.paths import ExtMotzkinPath
@@ -14,6 +14,8 @@ from raneyseq.threshold import ThresholdParams, ThresholdSequence
 from raneyseq.trees import KaryTree, TreeTuple
 
 SEQ = threshold.validate((3, 6), ThresholdParams(3, 1, 2))
+WORD = ballot.to_ballot(SEQ)
+TUPLE = trees.tuple_of(SEQ)
 GOOD = {"k": 3, "l": 1, "n": 2, "r": 2, "d": 0}
 BAD = {"k": [1, 2.0, True, "3"], "n": [-1, 1.0], "r": [0, 1.0],
        "l": [True, 0.0], "d": [0.5]}
@@ -42,6 +44,11 @@ ENTRY_POINTS = {
     "raney": lambda k, r, n: exactmath.raney(k, r, n),
     "raney_convolution": lambda k, r, n: exactmath.raney_convolution(k, r, n),
     "fuss_catalan": lambda k, n: exactmath.fuss_catalan(k, n),
+    "motzkin": lambda n: exactmath.motzkin(n),
+    "is_k_ballot_isolated": lambda k: ballot.is_k_ballot_isolated(WORD, k),
+    "sequence_of_tuple": lambda n: trees.sequence_of_tuple(TUPLE, n),
+    "oracle_sequences": lambda k, l, n: verify.oracle_sequences(k, l, n),
+    "check_raney_difference": lambda k, l: verify.check_raney_difference(k, l, 3),
 }
 
 
@@ -78,6 +85,8 @@ BAD_CONTAINERS = {
     "trees-list": lambda: TreeTuple(3, [trees.trivial(3)]),
     "trees-none": lambda: TreeTuple(3, (None,)),
     "children-none": lambda: KaryTree(3, [None] * 3),
+    "children-5": lambda: KaryTree(3, 5),
+    "children-is-none": lambda: KaryTree(3, None),
 }
 
 

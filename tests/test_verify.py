@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestOracleSequences:
         with pytest.raises(BudgetExceededError):
             verify.oracle_sequences(2, 0, 5, budget=budget)
 
+    def test_scan_guard_at_equality(self):
+        # C(33, 5) = 237,336 = 8 * 29,667: the guard lets exactly that scan run
+        assert verify.oracle_sequences(8, 0, 5, budget=29_667)[0] == \
+            exactmath.raney(8, 1, 5)
+        with pytest.raises(BudgetExceededError):
+            verify.oracle_sequences(8, 0, 5, budget=29_666)
+
     def test_budget_equal_to_the_count(self):
         assert verify.oracle_sequences(2, 0, 5, budget=42)[0] == 42
 
@@ -104,6 +112,12 @@ class TestIdentitySuites:
         assert by_key[(2, "b", "mixed")] == (7, 7)
         assert by_key[(0, "a", "conv")] == (1, 1)
         assert by_key[(0, "b", "conv")] == (1, 1)
+
+    def test_section2_oracle_route_for_n_1_to_7(self):
+        report = verify.check_section2_recurrences(12)
+        oracle_ns = [c.params["n"] for c in report.cells
+                     if c.params["route"] == "oracle"]
+        assert oracle_ns == [n for n in range(1, 8) for _ in "ab"]
 
     def test_prop4(self):
         report = verify.check_prop4(15)
@@ -218,6 +232,24 @@ class TestBijectionSuite:
         json.dumps(report.to_json())
 
 
+    def test_more_offenders_than_named(self, monkeypatch):
+        original = paths.enumerate_paths
+        firsts = []
+
+        def twice(*args, **kwargs):
+            found = list(original(*args, **kwargs))
+            firsts.extend(path.to_json() for path in found[:verify._OFFENDERS])
+            return iter(found + found)
+        monkeypatch.setattr(paths, "enumerate_paths", twice)
+        report = verify.check_bijections(3, 1, 3)
+        count = exactmath.raney(3, 2, 3)
+        assert count > verify._OFFENDERS
+        assert [(c.params["check"], c.expected, c.observed)
+                for c in report.failures] == [("path-surjective", 0, count)]
+        # every second copy is unmatched; only the first _OFFENDERS are named
+        assert report.failures[0].params["unmatched_objects"] == firsts
+
+
 class TestBallotClaim:
     def test_measurement(self):
         report = verify.check_ballot_claim()
@@ -226,3 +258,8 @@ class TestBallotClaim:
         assert summary["all_sequences_match_raney"] is True
         assert summary["exact_a_words_match_proper_count"] is True
         json.dumps(summary)  # serializable
+
+    def test_tracked_report_is_the_summary(self):
+        tracked = Path(__file__).parents[1] / "reports" / "ballot_claim.json"
+        summary = verify.ballot_claim_summary(verify.check_ballot_claim())
+        assert tracked.read_text() == json.dumps(summary, indent=2)
