@@ -43,9 +43,10 @@ class ThresholdParams:
         if self.n < 1:
             raise InvalidParameterError(f"{name} requires n >= 1")
 
-    def lower(self, i: int) -> int:
-        """Lower bound k*i + d for the i-th value (1-based)."""
-        return self.k * i + self.d
+    @property
+    def lowers(self) -> range:
+        """Lower bounds k*i + d of the values, i = 1 ... n."""
+        return range(self.k + self.d, self.k * self.n + self.d + 1, self.k)
 
     @property
     def upper(self) -> int:
@@ -121,8 +122,7 @@ def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequenc
     if n != params.n:
         raise InvalidParameterError(
             f"expected {params.n} values, got {n}")
-    k, d, upper = params.k, params.d, params.upper
-    lowers = range(k + d, k * n + d + 1, k)
+    upper, lowers = params.upper, params.lowers
     # Strict increase bounds every value by the last, so only the last is
     # compared with the upper bound.
     if (all(map(operator.lt, values, values[1:]))
@@ -183,14 +183,14 @@ def enumerate_sequences(params: ThresholdParams,
     """Yield every (k,l)-threshold sequence with the given parameters,
     exactly once, in lexicographic order of value lists."""
     params.require_n("enumeration")
-    upper = params.upper
+    upper, lowers = params.upper, params.lowers
     prefix: list[int] = []
 
     def extend(i: int) -> Iterator[ThresholdSequence]:
         if i > params.n:
             yield ThresholdSequence(params, tuple(prefix))
             return
-        start = params.lower(i)
+        start = lowers[i - 1]
         if prefix:
             start = max(start, prefix[-1] + 1)
         for v in range(start, upper + 1):

@@ -27,21 +27,22 @@ from .errors import (
 )
 from .exactmath import check_knr
 from .threshold import (
-    ThresholdParams, ThresholdSequence, capped, cut_of, unshifted, validate)
+    ThresholdParams, ThresholdSequence, capped, cut_of, int_entries, unshifted,
+    validate)
 
 
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class KaryTree:
     """Unlabeled k-ary tree; children is empty (leaf) or has length k."""
 
-    __slots__ = ("k", "word")
+    k: int
+    word: bytes
 
     def __init__(self, k: int, children: Sequence[KaryTree] = ()) -> None:
         if not isinstance(children, (list, tuple)):
             raise InvalidParameterError(f"children must be a list, got {children!r}")
         # A leaf's JSON carries no arity, so the reader cannot see this.
-        if not all(isinstance(child, KaryTree) and child.k == k
-                   for child in children):
-            raise InvalidParameterError("child not a KaryTree, or child arity mismatch")
+        _check_arity(k, children, "child")
         self.k = k
         self.word = KaryTree._of_json(
             k, [child.to_json() for child in children] or None).word
@@ -52,14 +53,6 @@ class KaryTree:
         tree = cls.__new__(cls)
         tree.k, tree.word = k, word
         return tree
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KaryTree):
-            return NotImplemented
-        return self.k == other.k and self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash(self.word)
 
     @property
     def children(self) -> tuple[KaryTree, ...]:
@@ -124,6 +117,14 @@ class KaryTree:
         return cls._of(k, bytes(word))
 
 
+def _check_arity(k: int, trees: Iterable, name: str) -> None:
+    """Raise InvalidParameterError unless each tree is a KaryTree of arity k."""
+    for tree in trees:
+        if not isinstance(tree, KaryTree) or tree.k != k:
+            raise InvalidParameterError(
+                f"{name} not a KaryTree, or {name} arity mismatch")
+
+
 def trivial(k: int) -> KaryTree:
     """The trivial tree: a single leaf."""
     check_knr(k)
@@ -143,10 +144,7 @@ class TreeTuple:
         if not self.trees:
             raise InvalidParameterError("a tree tuple needs at least one entry")
         check_knr(self.k)
-        for tree in self.trees:
-            if not isinstance(tree, KaryTree) or tree.k != self.k:
-                raise InvalidParameterError(
-                    "tuple entry not a KaryTree, or entry arity mismatch")
+        _check_arity(self.k, self.trees, "tuple entry")
 
     @property
     def r(self) -> int:
@@ -214,7 +212,7 @@ def build_from_internal_labels(k: int, w: int,
     every node of the partially built tree.
     """
     check_knr(k)
-    ordered = sorted(labels, reverse=True)
+    ordered = sorted(int_entries(labels, "label"), reverse=True)
     if len(set(ordered)) != len(ordered):
         raise InvalidParameterError("labels must be distinct")
     if not ordered or ordered[0] != w:

@@ -49,7 +49,7 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+        return bool(self.cells) and all(cell.ok for cell in self.cells)
 
     @property
     def failures(self) -> list[Cell]:
@@ -130,6 +130,7 @@ def check_section2_recurrences(n_max: int) -> VerifyReport:
     """Quadruple agreement for the simple/double 3-threshold counts a_n,
     b_n: both recurrence systems, the closed forms T_n/U_n, and (for
     1 <= n <= 7) the exhaustive oracle."""
+    exactmath.check_knr(n=n_max)
     with VerifyReport("section2-recurrences") as report:
         a_mix, b_mix = _ab_by_mixed_recurrences(n_max)
         a_conv, b_conv = _ab_by_convolutions(n_max)
@@ -151,6 +152,7 @@ def check_section2_recurrences(n_max: int) -> VerifyReport:
 def check_prop4(n_max: int) -> VerifyReport:
     """b_n - a_n = sum a_h a_{n-h} = sum b_h b_{n-h-1}
     = (2/(n+1)) * C(3n, n-1) = R_{n-1}^(3,4), for n >= 1."""
+    exactmath.check_knr(n=n_max)
     with VerifyReport("prop4-difference") as report:
         a = [raney(3, 1, i) for i in range(n_max + 1)]
         b = [raney(3, 2, i) for i in range(n_max + 1)]
@@ -172,6 +174,7 @@ def check_prop4(n_max: int) -> VerifyReport:
 def check_catalan_pow2(n_max: int) -> VerifyReport:
     """Catalan identity C_n = sum_{r+s+t=n-1, r,s>=1} C_r C_s 2^t + 2^{n-1},
     plus its double-sum precursor over (a, b)."""
+    exactmath.check_knr(n=n_max)
     with VerifyReport("catalan-pow2") as report:
         c = [catalan(i) for i in range(n_max + 1)]
         for n in range(1, n_max + 1):
@@ -190,6 +193,7 @@ def check_prop6(n_max: int) -> VerifyReport:
     """Exact rational identities
     2 sum T_h T_{n-h-1}/(h+1) = 3 U_{n-1} - T_n and
     2 sum U_h U_{n-h-1}/(3h+1) = 4 T_n - U_n."""
+    exactmath.check_knr(n=n_max)
     with VerifyReport("prop6-rational") as report:
         t = [raney(3, 1, i) for i in range(n_max + 1)]
         u = [raney(3, 2, i) for i in range(n_max + 1)]

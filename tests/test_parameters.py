@@ -49,6 +49,10 @@ ENTRY_POINTS = {
     "sequence_of_tuple": lambda n: trees.sequence_of_tuple(TUPLE, n),
     "oracle_sequences": lambda k, l, n: verify.oracle_sequences(k, l, n),
     "check_raney_difference": lambda k, l: verify.check_raney_difference(k, l, 3),
+    "check_section2_recurrences": lambda n: verify.check_section2_recurrences(n),
+    "check_prop4": lambda n: verify.check_prop4(n),
+    "check_catalan_pow2": lambda n: verify.check_catalan_pow2(n),
+    "check_prop6": lambda n: verify.check_prop6(n),
 }
 
 

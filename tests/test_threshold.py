@@ -30,6 +30,12 @@ class TestParams:
     def test_n_zero_allowed(self):
         assert threshold.count(ThresholdParams(3, 1, 0)) == 1
 
+    def test_lowers(self):
+        # k*i + d for i = 1 ... n
+        assert list(ThresholdParams(3, 1, 4, d=2).lowers) == [5, 8, 11, 14]
+        assert list(ThresholdParams(2, 0, 3, d=-4).lowers) == [-2, 0, 2]
+        assert not ThresholdParams(3, 1, 0).lowers
+
 
 class TestValidate:
     def test_simple_sequence(self):

@@ -60,6 +60,16 @@ class TestKaryTree:
         tree = trees.build_from_internal_labels(4, 16, [16, 14, 12, 7])
         assert KaryTree.from_json(4, tree.to_json()) == tree
 
+    def test_value_protocol(self):
+        # a tree is the value of its arity and level-order word
+        tree = KaryTree(3, [trees.trivial(3)] * 3)
+        same = KaryTree.from_json(3, "[null, null, null]")
+        assert tree == same and hash(tree) == hash(same)
+        assert len({tree, same, trees.trivial(3)}) == 2
+        assert trees.trivial(2) != trees.trivial(3)
+        assert KaryTree._of(2, tree.word) != tree
+        assert repr(tree) == r"KaryTree(k=3, word=b'\x01\x00\x00\x00')"
+
 
 class TestLevelOrderWord:
     """A tree is stored as its level-order word: byte p is 1 iff the node
@@ -166,6 +176,14 @@ class TestBuildFromInternalLabels:
     def test_root_label_mismatch(self):
         with pytest.raises(InvalidParameterError):
             trees.build_from_internal_labels(4, 16, [15, 14])
+
+    @pytest.mark.parametrize("w,labels,named", [
+        pytest.param(2.5, [2.5], "label 2.5 at index 1", id="float"),
+        pytest.param(5, [5, "a"], "label 'a' at index 2", id="str"),
+        pytest.param(3, 5, "labels must be a list, got 5", id="not-a-list")])
+    def test_labels_not_ints_rejected(self, w, labels, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            trees.build_from_internal_labels(3, w, labels)
 
     @pytest.mark.parametrize("n", range(4))
     def test_label_extraction_round_trip(self, n):

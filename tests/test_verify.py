@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from raneyseq import ballot, exactmath, paths, threshold, trees, verify
-from raneyseq.errors import BudgetExceededError, EmptyTupleError
+from raneyseq.errors import (
+    BudgetExceededError, EmptyTupleError, InvalidParameterError)
 from raneyseq.threshold import ThresholdParams
 from raneyseq.verify import Cell, VerifyReport
 
@@ -24,6 +25,11 @@ class TestReport:
         report.add({"n": 2}, 1, 2)
         assert not report.passed
         assert len(report.failures) == 1
+
+    def test_empty_report_does_not_pass(self):
+        # a suite that compared nothing has shown nothing
+        assert not VerifyReport("demo").passed
+        assert VerifyReport("demo").to_json()["pass"] is False
 
     def test_json_serializable(self):
         report = verify.check_raney_difference(3, 1, 5)
@@ -139,6 +145,15 @@ class TestIdentitySuites:
         for k in range(3, 7):
             for l in range(1, k - 1):
                 assert verify.check_raney_difference(k, l, 15).passed
+
+    def test_depth_zero_does_not_pass(self):
+        # the suites start at n = 1, so depth 0 compares nothing
+        report = verify.check_prop4(0)
+        assert not report.cells and not report.passed
+
+    def test_depth_must_be_an_int(self):
+        with pytest.raises(InvalidParameterError, match="n must be an int"):
+            verify.check_catalan_pow2(True)
 
     def test_identity_suites_all_pass(self):
         reports = verify.identity_suites()
