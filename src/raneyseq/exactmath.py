@@ -115,6 +115,8 @@ def decimal_text(value: int) -> str:
     traps Inexact, so a rounding would raise rather than print a wrong
     digit.
     """
+    if type(value) is not int:
+        raise InvalidParameterError(f"decimal_text takes an int, got {value!r}")
     powers: dict[int, decimal.Decimal] = {}
 
     def convert(v: int, bits: int) -> decimal.Decimal:
@@ -139,8 +141,7 @@ def decimal_text(value: int) -> str:
 
 def fuss_catalan(k: int, n: int) -> int:
     """Number of k-ary trees with n internal nodes: C(kn, n) / ((k-1)n + 1)."""
-    check_knr(k, n)
-    return _exact_div(binomial(k * n, n), (k - 1) * n + 1)
+    return raney(k, 1, n)  # raney's second closed form at r = 1
 
 
 def catalan(n: int) -> int:

@@ -78,11 +78,10 @@ def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
 def sequence_of_path(path: ExtMotzkinPath, l: int) -> ThresholdSequence:
     """Inverse of path_of: s_i = y_i + i*k.  The path's checks and the end
     height are validate's three predicates on s, so none runs twice."""
-    k = path.k
-    params = ThresholdParams(k, l, path.n)
+    params = ThresholdParams(path.k, l, path.n)
     if path.end_height > l:
         raise HeightExceedsLimitError(path.end_height, l)
-    values = map(add, accumulate(path.rises), range(k, k * path.n + 1, k))
+    values = map(add, accumulate(path.rises), params.lowers)
     return ThresholdSequence(params, tuple(values))
 
 
@@ -91,16 +90,15 @@ def enumerate_paths(k: int, l: int, n: int,
     """Yield every (k,l)-extended Motzkin path of length n exactly once.
 
     Up steps are bounded by the end-height reachability limit
-    y_i <= l + (n-i)*(k-1), which makes the search finite; rises are
-    explored in increasing numeric order.
+    y_i <= l + (n-i)*(k-1), which makes the search finite and is y_n <= l
+    at the end; rises are explored in increasing numeric order.
     """
     ThresholdParams(k, l, n).require_n("enumeration")
     rises: list[int] = []
 
     def extend(i: int, height: int) -> Iterator[ExtMotzkinPath]:
         if i > n:
-            if height <= l:
-                yield ExtMotzkinPath(k, tuple(rises))
+            yield ExtMotzkinPath(k, tuple(rises))
             return
         low = -min(k - 1, height)
         high = l + (n - i) * (k - 1) - height

@@ -181,19 +181,20 @@ def capped(items: Iterable, budget: int | None) -> Iterator:
 def enumerate_sequences(params: ThresholdParams,
                         budget: int | None = None) -> Iterator[ThresholdSequence]:
     """Yield every (k,l)-threshold sequence with the given parameters,
-    exactly once, in lexicographic order of value lists."""
+    exactly once, in lexicographic order of value lists.  s_i stops n - i
+    below the upper bound, so every prefix entered can complete."""
     params.require_n("enumeration")
-    upper, lowers = params.upper, params.lowers
+    n, upper, lowers = params.n, params.upper, params.lowers
     prefix: list[int] = []
 
     def extend(i: int) -> Iterator[ThresholdSequence]:
-        if i > params.n:
+        if i > n:
             yield ThresholdSequence(params, tuple(prefix))
             return
         start = lowers[i - 1]
         if prefix:
             start = max(start, prefix[-1] + 1)
-        for v in range(start, upper + 1):
+        for v in range(start, upper - (n - i) + 1):
             prefix.append(v)
             yield from extend(i + 1)
             prefix.pop()

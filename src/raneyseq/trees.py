@@ -127,8 +127,7 @@ def _check_arity(k: int, trees: Iterable, name: str) -> None:
 
 def trivial(k: int) -> KaryTree:
     """The trivial tree: a single leaf."""
-    check_knr(k)
-    return KaryTree._of(k, b"\x00")
+    return KaryTree(k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,6 +212,7 @@ def build_from_internal_labels(k: int, w: int,
     """
     check_knr(k)
     ordered = sorted(int_entries(labels, "label"), reverse=True)
+    _check_w(w)
     if len(set(ordered)) != len(ordered):
         raise InvalidParameterError("labels must be distinct")
     if not ordered or ordered[0] != w:
@@ -225,8 +225,15 @@ def build_from_internal_labels(k: int, w: int,
     return KaryTree._of(k, bytes(word))
 
 
+def _check_w(w: int) -> None:
+    """Raise InvalidParameterError unless w is an int, bool excluded."""
+    if type(w) is not int:
+        raise InvalidParameterError(f"w must be an int, got {w!r}")
+
+
 def internal_labels(tree: KaryTree, w: int) -> list[int]:
     """Labels of the internal nodes under the w-labeling, in BFS order."""
+    _check_w(w)
     return list(itertools.compress(range(w, w - len(tree.word), -1),
                                    tree.word))
 
@@ -370,6 +377,8 @@ def enumerate_tuples(k: int, r: int, n: int,
 def to_dot(tree: KaryTree, w: int | None = None) -> str:
     """DOT text for a tree, nodes numbered by BFS position; with w given,
     nodes show their w-labeling."""
+    if w is not None:
+        _check_w(w)
     lines = ["digraph karytree {", "  node [shape=circle];"]
     k, j = tree.k, 0
     for p, bit in enumerate(tree.word):

@@ -144,10 +144,15 @@ class TestRaney:
     def test_empty_tuple(self, k, r):
         assert exactmath.raney(k, r, 0) == 1
 
+    # fuss_catalan is raney at r = 1, so the Fuss-Catalan closed form
+    # C(kn, n) / ((k-1)n + 1) is written out here with math.comb.
     def test_r_one_is_fuss_catalan(self):
         for k in range(2, 6):
             for n in range(11):
-                assert exactmath.raney(k, 1, n) == exactmath.fuss_catalan(k, n)
+                expected, rem = divmod(math.comb(k * n, n), (k - 1) * n + 1)
+                assert rem == 0
+                assert exactmath.raney(k, 1, n) == expected
+                assert exactmath.fuss_catalan(k, n) == expected
 
     def test_invalid_r(self):
         with pytest.raises(InvalidParameterError):
@@ -253,3 +258,10 @@ class TestDecimalText:
             value = rng.getrandbits(bits) | 1 << (bits - 1)
             value = -value if rng.randrange(2) else value
             assert exactmath.decimal_text(value) == str(value)
+
+    # A float, a bool or a str has no digits to write; each is refused
+    # rather than ending in an AttributeError or printed as 1.
+    @pytest.mark.parametrize("value", [2.0, True, "7", None])
+    def test_not_an_int(self, value):
+        with pytest.raises(InvalidParameterError, match="takes an int"):
+            exactmath.decimal_text(value)

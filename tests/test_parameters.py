@@ -1,4 +1,4 @@
-"""Every public entry point that takes k, l, n, d or r rejects a value of
+"""Every public entry point that takes k, l, n, d, r or w rejects a value of
 the wrong type or range with InvalidParameterError naming the parameter;
 each constructor and reader also rejects a container of the wrong type."""
 
@@ -16,9 +16,9 @@ from raneyseq.trees import KaryTree, TreeTuple
 SEQ = threshold.validate((3, 6), ThresholdParams(3, 1, 2))
 WORD = ballot.to_ballot(SEQ)
 TUPLE = trees.tuple_of(SEQ)
-GOOD = {"k": 3, "l": 1, "n": 2, "r": 2, "d": 0}
+GOOD = {"k": 3, "l": 1, "n": 2, "r": 2, "d": 0, "w": 3}
 BAD = {"k": [1, 2.0, True, "3"], "n": [-1, 1.0], "r": [0, 1.0],
-       "l": [True, 0.0], "d": [0.5]}
+       "l": [True, 0.0], "d": [0.5], "w": [3.0, True, 2.5]}
 
 # Each entry point, called with the parameters its lambda names.
 ENTRY_POINTS = {
@@ -33,8 +33,10 @@ ENTRY_POINTS = {
     "KaryTree": lambda k: KaryTree(k),
     "KaryTree.from_json": lambda k: KaryTree.from_json(k, "[null, null, null]"),
     "trivial": lambda k: trees.trivial(k),
-    "build_from_internal_labels": lambda k: trees.build_from_internal_labels(
-        k, 3, [3]),
+    "build_from_internal_labels": lambda k, w: trees.build_from_internal_labels(
+        k, w, [3]),
+    "internal_labels": lambda w: trees.internal_labels(trees.trivial(3), w),
+    "to_dot": lambda w: trees.to_dot(trees.trivial(3), w),
     "TreeTuple": lambda k: TreeTuple(k, (trees.trivial(3),)),
     "enumerate_sequences": lambda k, l, n: threshold.enumerate_sequences(
         ThresholdParams(k, l, n)),

@@ -147,6 +147,13 @@ class TestEnumeratePaths:
         with pytest.raises(BudgetExceededError):
             list(paths.enumerate_paths(2, 0, 5, budget=3))
 
+    # No leaf tests the end height: the last step's bound caps it at l.
+    @pytest.mark.parametrize("k,l,n", [
+        (k, l, n) for k in range(2, 6) for l in range(k - 1)
+        for n in range(1, 12) if exactmath.raney(k, l + 1, n) <= 10 ** 4])
+    def test_every_path_ends_at_most_l(self, k, l, n):
+        assert all(p.end_height <= l for p in paths.enumerate_paths(k, l, n))
+
 
 class TestClassicMotzkin:
     def test_simple_cases(self):

@@ -274,6 +274,15 @@ class TestShift:
         assert {threshold.shift(s, 4).values for s in base} == \
             {s.values for s in offset}
 
+    # The upper end of s_i moves with d, so the offset stream is the d = 0
+    # stream shifted, in the same order.
+    @pytest.mark.parametrize("d", [-7, 0, 5])
+    @pytest.mark.parametrize("k,l,n", [(2, 0, 6), (3, 1, 5), (4, 2, 4)])
+    def test_offset_stream_is_shifted_stream(self, k, l, n, d):
+        base = threshold.enumerate_sequences(ThresholdParams(k, l, n))
+        offset = threshold.enumerate_sequences(ThresholdParams(k, l, n, d))
+        assert [threshold.shift(s, d) for s in base] == list(offset)
+
 
 @pytest.mark.parametrize("k,l,n", [(k, l, n) for k in (2, 3, 4)
                                    for l in range(k - 1) for n in range(1, 5)])
