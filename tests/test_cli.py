@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def without_elapsed(out, reports):
+    """The output with the "elapsed" field taken from each of its reports,
+    the one value that changes from run to run."""
+    text, found = re.subn(r'"elapsed": [^,]*, ', "", out)
+    assert found == reports
+    return text
 
 
 class TestCount:
@@ -438,6 +447,26 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is True
 
+    # SHA-256 of the report, "elapsed" removed, recorded while each
+    # codomain was streamed against a set of image objects; the report
+    # must stay byte-identical however the suite holds its images.
+    @pytest.mark.parametrize("k,l,n,digest", [
+        (3, 1, 4,
+         "4dd46e743bc78dddb3af149aa83969d7199cad59c2b7912ce22ec6af77744a65"),
+        (2, 0, 8,
+         "94406e872d134d31607570518d63e4403d86833f6344e276d4e9dc0556ab7bd0"),
+        (4, 2, 4,
+         "91bd7327843b32df7c7a4a9deedb61ab3273c2f30c6dac0d1fe407135ff4ce74"),
+        (5, 3, 3,
+         "ff3b595adcf0327c32ba36a88664612c2886babdc56d943644db9ffcae015bac"),
+    ])
+    def test_report_pinned(self, capsys, k, l, n, digest):
+        code, out = run(capsys, "verify", "--k", str(k), "--l", str(l),
+                        "--n", str(n))
+        assert code == 0
+        text = without_elapsed(out, 1)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @staticmethod
     def raise_boom(*args):
         raise EmptyTupleError("boom")
@@ -484,6 +513,14 @@ class TestIdentities:
         reports = [json.loads(line) for line in out.splitlines()]
         assert len(reports) == lines
         assert all(report["pass"] is True for report in reports)
+
+    def test_all_reports_pinned(self, capsys):
+        # SHA-256 of the 15 report lines, "elapsed" removed from each
+        code, out = run(capsys, "identities", "--suite", "all")
+        assert code == 0
+        text = without_elapsed(out, 15)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "588448a593888c54fac13c985ba9c33b3b328f98f6ebcbe093e371c2e87bc30c"
 
     def test_report_without_the_ballot_suite(self, capsys, tmp_path):
         target = tmp_path / "ballot.json"
