@@ -127,7 +127,13 @@ def _check_arity(k: int, trees: Iterable, name: str) -> None:
 
 def trivial(k: int) -> KaryTree:
     """The trivial tree: a single leaf."""
-    return KaryTree(k)
+    check_knr(k)
+    return _leaf(k)
+
+
+def _leaf(k: int) -> KaryTree:
+    """The trivial tree, k already checked."""
+    return KaryTree._of(k, b"\x00")
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +252,7 @@ def tuple_of(seq: ThresholdSequence) -> TreeTuple:
     values = unshifted(seq, "tuple_of")
     seq.params.require_n("tuple_of")
     k = seq.k
-    entries = [KaryTree._of(k, b"\x00")] * (seq.l + 1)
+    entries = [_leaf(k)] * (seq.l + 1)
     prev_level = seq.l + 1
     while values:
         # The piece after the cut index holds only reachable labels.
@@ -353,7 +359,7 @@ def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
     """For each composition of n into r parts, in lexicographic order, the
     product of the trees of each part's size, the last part fastest.  Only
     the smaller sizes are kept: a part n, leaves beside it, streams size n."""
-    leaves, smaller = itertools.repeat(trivial(k)), []
+    leaves, smaller = itertools.repeat(_leaf(k)), []
     for comp in _compositions(n, r):
         if n in comp:
             parts = [leaves] * r

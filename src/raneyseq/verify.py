@@ -220,26 +220,75 @@ def check_raney_difference(k: int, l: int, n_max: int) -> VerifyReport:
     return report
 
 
+@dataclass
+class _Offenders:
+    """How many offending objects a check met, and the first _OFFENDERS."""
+    count: int = 0
+    named: list = field(default_factory=list)
+
+    def add(self, obj) -> None:
+        self.count += 1
+        if self.count <= _OFFENDERS:
+            self.named.append(obj)
+
+
+# A tuple image is held as the level-order words of its trees, which hold
+# only the bytes 0 and 1, joined by a byte that no word holds.
+_SEPARATOR = b"\x02"
+
+
+def _tuple_key(t: trees.TreeTuple) -> bytes:
+    return _SEPARATOR.join([tree.word for tree in t.trees])
+
+
+def _key_tuple(k: int, key: bytes) -> trees.TreeTuple:
+    return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
+                                    for word in key.split(_SEPARATOR)))
+
+
 def check_bijections(k: int, l: int, n: int,
                      budget: int = DEFAULT_BUDGET) -> VerifyReport:
-    """Round-trip and surjectivity checks for tuple_of, path_of and the
-    ballot encoding over the fully enumerated (k, l, n) cell.
+    """Round-trip, injectivity and surjectivity checks for tuple_of,
+    path_of and the ballot encoding over the fully enumerated (k, l, n)
+    cell.
 
     On a failure the offending object is recorded verbatim in the cell.
     """
     with VerifyReport("bijections") as report:
         params = ThresholdParams(k, l, n)
+        sequences = threshold.enumerate_sequences(params, budget=budget)
         count = 0
-        tuple_images = set()
-        path_images = set()
-        for seq in threshold.enumerate_sequences(params, budget=budget):
+        tuple_keys = set()
+        # Sequences that first differ at i have rises s_i - s_{i-1} - k
+        # that first differ there, the same way, so the path images come
+        # in the codomain's lexicographic order.  Each image is merged with
+        # the codomain as it comes, and none is held.  An image that does
+        # not rise above the last one merged fails injectivity; a codomain
+        # object passed over and an image not met fail surjectivity.
+        codomain = paths.enumerate_paths(k, l, n, budget=budget)
+        head = next(codomain, None)
+        last, last_seq = (), None  # () sorts below every path's rises
+        rising, not_rising = 0, _Offenders()
+        path_passed, path_unmet = _Offenders(), _Offenders()
+        for seq in sequences:
             count += 1
             try:
                 t = trees.tuple_of(seq)
                 p = paths.path_of(seq)
                 w = ballot.to_ballot(seq)
-                tuple_images.add(t)
-                path_images.add(p)
+                tuple_keys.add(_tuple_key(t))
+                if p.rises <= last:
+                    not_rising.add([list(last_seq.values), list(seq.values)])
+                else:
+                    rising += 1
+                    last, last_seq = p.rises, seq
+                    while head is not None and head.rises < p.rises:
+                        path_passed.add(head)
+                        head = next(codomain, None)
+                    if head == p:
+                        head = next(codomain, None)
+                    else:
+                        path_unmet.add(p)
                 for check, back in (
                         ("tuple-roundtrip", trees.sequence_of_tuple(t, n)),
                         ("path-roundtrip", paths.sequence_of_path(p, l)),
@@ -255,36 +304,41 @@ def check_bijections(k: int, l: int, n: int,
                 # and the suite goes on to the next sequence.
                 report.add({"check": "map-raised", "seq": list(seq.values)},
                            "no error", f"{type(exc).__name__}: {exc}")
+        while head is not None:
+            path_passed.add(head)
+            head = next(codomain, None)
         if not report.cells:
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
                        count, count)
 
-        # Stream each codomain once against its image set: an object met
-        # and not found (also a repeated one, whose image is gone by then)
-        # and an image never met both count against surjectivity.  A
-        # failing cell names up to _OFFENDERS of each, as JSON.
-        for name, images, codomain in (
-                ("tuple", tuple_images,
-                 trees.enumerate_tuples(k, l + 1, n, budget=budget)),
-                ("path", path_images,
-                 paths.enumerate_paths(k, l, n, budget=budget))):
-            report.add({"check": f"{name}-injective", "k": k, "l": l, "n": n},
-                       count, len(images))
-            unmatched = 0
-            unmatched_objects = []
-            for obj in codomain:
-                try:
-                    images.remove(obj)
-                except KeyError:
-                    unmatched += 1
-                    if unmatched <= _OFFENDERS:
-                        unmatched_objects.append(obj.to_json())
+        # Tuple images do not come in codomain order: the codomain is
+        # streamed once against the set of their keys.  An object met and
+        # not found (also a repeated one, whose key is gone by then) and a
+        # key never met both fail surjectivity.
+        distinct = len(tuple_keys)
+        tuple_passed = _Offenders()
+        for obj in trees.enumerate_tuples(k, l + 1, n, budget=budget):
+            try:
+                tuple_keys.remove(_tuple_key(obj))
+            except KeyError:
+                tuple_passed.add(obj)
+        tuple_unmet = _Offenders(len(tuple_keys), [
+            _key_tuple(k, key) for key in islice(tuple_keys, _OFFENDERS)])
+
+        # A failing cell names up to _OFFENDERS of each kind, as JSON.
+        for name, images, named, passed, unmet in (
+                ("tuple", distinct, {}, tuple_passed, tuple_unmet),
+                ("path", rising, {"not_rising": not_rising.named},
+                 path_passed, path_unmet)):
+            cell = {"check": f"{name}-injective", "k": k, "l": l, "n": n}
+            if images != count:
+                cell.update(named)
+            report.add(cell, count, images)
             cell = {"check": f"{name}-surjective", "k": k, "l": l, "n": n}
-            if unmatched or images:
-                cell["unmatched_objects"] = unmatched_objects
-                cell["unmet_images"] = [
-                    obj.to_json() for obj in islice(images, _OFFENDERS)]
-            report.add(cell, 0, unmatched + len(images))
+            if passed.count or unmet.count:
+                cell["unmatched_objects"] = [o.to_json() for o in passed.named]
+                cell["unmet_images"] = [o.to_json() for o in unmet.named]
+            report.add(cell, 0, passed.count + unmet.count)
     return report
 
 

@@ -247,6 +247,33 @@ class TestBijectionSuite:
         json.dumps(report.to_json())
 
 
+    # Two adjacent sequences sent to one path: the second image does not
+    # rise, and the codomain object between them is passed over once.
+    @pytest.mark.parametrize("i", [0, 14, 28])
+    def test_two_sequences_sent_to_one_path(self, monkeypatch, i):
+        values = self.sequences_3_1_3()
+        first, second = values[i:i + 2]
+        original = paths.path_of
+
+        def merging(seq):
+            if list(seq.values) == second:
+                seq = threshold.validate(first, ThresholdParams(3, 1, 3))
+            return original(seq)
+        monkeypatch.setattr(paths, "path_of", merging)
+        report = verify.check_bijections(3, 1, 3)
+        failures = {c.params["check"]: c for c in report.failures}
+        assert list(failures) == [
+            "path-roundtrip", "path-injective", "path-surjective"]
+        injective = failures["path-injective"]
+        assert (injective.expected, injective.observed) == (30, 29)
+        assert injective.params["not_rising"] == [[first, second]]
+        surjective = failures["path-surjective"]
+        assert (surjective.expected, surjective.observed) == (0, 1)
+        skipped = original(threshold.validate(second, ThresholdParams(3, 1, 3)))
+        assert (surjective.params["unmatched_objects"],
+                surjective.params["unmet_images"]) == ([skipped.to_json()], [])
+        json.dumps(report.to_json())
+
     def test_more_offenders_than_named(self, monkeypatch):
         original = paths.enumerate_paths
         firsts = []
