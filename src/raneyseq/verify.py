@@ -267,7 +267,7 @@ def check_bijections(k: int, l: int, n: int,
         # object passed over and an image not met fail surjectivity.
         codomain = paths.enumerate_paths(k, l, n, budget=budget)
         head = next(codomain, None)
-        last, last_seq = (), None  # () sorts below every path's rises
+        last, last_values = (), ()  # () sorts below every path's rises
         rising, not_rising = 0, _Offenders()
         path_passed, path_unmet = _Offenders(), _Offenders()
         for seq in sequences:
@@ -278,10 +278,10 @@ def check_bijections(k: int, l: int, n: int,
                 w = ballot.to_ballot(seq)
                 tuple_keys.add(_tuple_key(t))
                 if p.rises <= last:
-                    not_rising.add([list(last_seq.values), list(seq.values)])
+                    not_rising.add([list(last_values), list(seq.values)])
                 else:
                     rising += 1
-                    last, last_seq = p.rises, seq
+                    last, last_values = p.rises, seq.values
                     while head is not None and head.rises < p.rises:
                         path_passed.add(head)
                         head = next(codomain, None)
