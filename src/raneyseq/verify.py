@@ -304,9 +304,10 @@ def check_bijections(k: int, l: int, n: int,
                 # and the suite goes on to the next sequence.
                 report.add({"check": "map-raised", "seq": list(seq.values)},
                            "no error", f"{type(exc).__name__}: {exc}")
-        while head is not None:
+        if head is not None:
             path_passed.add(head)
-            head = next(codomain, None)
+        for obj in codomain:
+            path_passed.add(obj)
         if not report.cells:
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
                        count, count)
