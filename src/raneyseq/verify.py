@@ -22,7 +22,8 @@ from .exactmath import binomial, catalan, raney
 from .threshold import ThresholdParams
 
 DEFAULT_BUDGET = 10 ** 6
-# The most offending objects of each kind a failing surjectivity cell names.
+# The most offenders of each kind a failing injectivity or surjectivity
+# cell names.
 _OFFENDERS = 3
 
 
@@ -220,11 +221,14 @@ def check_raney_difference(k: int, l: int, n_max: int) -> VerifyReport:
     return report
 
 
-@dataclass
 class _Offenders:
-    """How many offending objects a check met, and the first _OFFENDERS."""
-    count: int = 0
-    named: list = field(default_factory=list)
+    """How many offending objects a check met, and the first _OFFENDERS.
+    A plain class: a dataclass would add half a millisecond to the import."""
+
+    __slots__ = ("count", "named")
+
+    def __init__(self, count: int = 0, named: list | None = None) -> None:
+        self.count, self.named = count, named or []
 
     def add(self, obj) -> None:
         self.count += 1
@@ -241,7 +245,7 @@ def _tuple_key(t: trees.TreeTuple) -> bytes:
     return _SEPARATOR.join([tree.word for tree in t.trees])
 
 
-def _key_tuple(k: int, key: bytes) -> trees.TreeTuple:
+def _tuple_of_key(k: int, key: bytes) -> trees.TreeTuple:
     return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
                                     for word in key.split(_SEPARATOR)))
 
@@ -256,7 +260,6 @@ def check_bijections(k: int, l: int, n: int,
     """
     with VerifyReport("bijections") as report:
         params = ThresholdParams(k, l, n)
-        sequences = threshold.enumerate_sequences(params, budget=budget)
         count = 0
         tuple_keys = set()
         # Sequences that first differ at i have rises s_i - s_{i-1} - k
@@ -270,7 +273,7 @@ def check_bijections(k: int, l: int, n: int,
         last, last_values = (), ()  # () sorts below every path's rises
         rising, not_rising = 0, _Offenders()
         path_passed, path_unmet = _Offenders(), _Offenders()
-        for seq in sequences:
+        for seq in threshold.enumerate_sequences(params, budget=budget):
             count += 1
             try:
                 t = trees.tuple_of(seq)
@@ -324,7 +327,7 @@ def check_bijections(k: int, l: int, n: int,
             except KeyError:
                 tuple_passed.add(obj)
         tuple_unmet = _Offenders(len(tuple_keys), [
-            _key_tuple(k, key) for key in islice(tuple_keys, _OFFENDERS)])
+            _tuple_of_key(k, key) for key in islice(tuple_keys, _OFFENDERS)])
 
         # A failing cell names up to _OFFENDERS of each kind, as JSON.
         for name, images, named, passed, unmet in (

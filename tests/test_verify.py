@@ -246,9 +246,9 @@ class TestBijectionSuite:
             (firsts, []) if edit == "repeat" else ([], firsts))
         json.dumps(report.to_json())
 
-
     # Two adjacent sequences sent to one path: the second image does not
-    # rise, and the codomain object between them is passed over once.
+    # rise, and the second sequence's own path, which no image now reaches,
+    # is passed over once (at i = 28, after the last sequence).
     @pytest.mark.parametrize("i", [0, 14, 28])
     def test_two_sequences_sent_to_one_path(self, monkeypatch, i):
         values = self.sequences_3_1_3()
