@@ -274,6 +274,51 @@ class TestBijectionSuite:
                 surjective.params["unmet_images"]) == ([skipped.to_json()], [])
         json.dumps(report.to_json())
 
+    # Sequence i + 1 sent to the tuple of sequence i: its round trip gives
+    # sequence i, one tuple image is lost, and its own tuple, which no
+    # image now reaches, is met in the codomain and not found.
+    @pytest.mark.parametrize("i", [0, 14, 28])
+    def test_two_sequences_sent_to_one_tuple(self, monkeypatch, i):
+        values = self.sequences_3_1_3()
+        first, second = values[i:i + 2]
+        original = trees.tuple_of
+
+        def merging(seq):
+            if list(seq.values) == second:
+                seq = threshold.validate(first, ThresholdParams(3, 1, 3))
+            return original(seq)
+        monkeypatch.setattr(trees, "tuple_of", merging)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "tuple-roundtrip", "seq": second}, second, first),
+            ({"check": "tuple-injective", "k": 3, "l": 1, "n": 3}, 30, 29),
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": [original(threshold.validate(
+                  second, ThresholdParams(3, 1, 3))).to_json()],
+              "unmet_images": []}, 0, 1)]
+        json.dumps(report.to_json())
+
+    # With no codomain object every image is unmet; the cell names
+    # _OFFENDERS of them, which follow set order, so only what each one
+    # is gets pinned.
+    def test_empty_tuple_codomain(self, monkeypatch):
+        monkeypatch.setattr(trees, "enumerate_tuples",
+                            lambda *args, **kwargs: iter(()))
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params["check"], c.expected, c.observed)
+                for c in report.failures] == [("tuple-surjective", 0, 30)]
+        params = report.failures[0].params
+        assert params["unmatched_objects"] == []
+        unmet = params["unmet_images"]
+        assert len(unmet) == verify._OFFENDERS
+        assert len({json.dumps(image) for image in unmet}) == len(unmet)
+        cell = self.sequences_3_1_3()
+        for image in unmet:
+            t = trees.TreeTuple.from_json(3, image)
+            assert list(trees.sequence_of_tuple(t, 3).values) in cell
+        json.dumps(report.to_json())
+
     def test_more_offenders_than_named(self, monkeypatch):
         original = paths.enumerate_paths
         firsts = []
