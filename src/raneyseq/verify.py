@@ -14,7 +14,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError, RaneyseqError
@@ -227,8 +227,8 @@ class _Offenders:
 
     __slots__ = ("count", "named")
 
-    def __init__(self, count: int = 0, named: list | None = None) -> None:
-        self.count, self.named = count, named or []
+    def __init__(self) -> None:
+        self.count, self.named = 0, []
 
     def add(self, obj) -> None:
         self.count += 1
@@ -243,11 +243,6 @@ _SEPARATOR = b"\x02"
 
 def _tuple_key(t: trees.TreeTuple) -> bytes:
     return _SEPARATOR.join([tree.word for tree in t.trees])
-
-
-def _tuple_of_key(k: int, key: bytes) -> trees.TreeTuple:
-    return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
-                                    for word in key.split(_SEPARATOR)))
 
 
 def check_bijections(k: int, l: int, n: int,
@@ -307,9 +302,7 @@ def check_bijections(k: int, l: int, n: int,
                 # and the suite goes on to the next sequence.
                 report.add({"check": "map-raised", "seq": list(seq.values)},
                            "no error", f"{type(exc).__name__}: {exc}")
-        if head is not None:
-            path_passed.add(head)
-        for obj in codomain:
+        for obj in chain([head], codomain) if head is not None else ():
             path_passed.add(obj)
         if not report.cells:
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
@@ -320,14 +313,15 @@ def check_bijections(k: int, l: int, n: int,
         # not found (also a repeated one, whose key is gone by then) and a
         # key never met both fail surjectivity.
         distinct = len(tuple_keys)
-        tuple_passed = _Offenders()
+        tuple_passed, tuple_unmet = _Offenders(), _Offenders()
         for obj in trees.enumerate_tuples(k, l + 1, n, budget=budget):
             try:
                 tuple_keys.remove(_tuple_key(obj))
             except KeyError:
                 tuple_passed.add(obj)
-        tuple_unmet = _Offenders(len(tuple_keys), [
-            _tuple_of_key(k, key) for key in islice(tuple_keys, _OFFENDERS)])
+        for key in tuple_keys:
+            tuple_unmet.add(trees.TreeTuple(k, tuple(
+                trees.KaryTree._of(k, word) for word in key.split(_SEPARATOR))))
 
         # A failing cell names up to _OFFENDERS of each kind, as JSON.
         for name, images, named, passed, unmet in (
