@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby, islice
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError, RaneyseqError
@@ -236,13 +237,27 @@ class _Offenders:
             self.named.append(obj)
 
 
-# A tuple image is held as the level-order words of its trees, which hold
-# only the bytes 0 and 1, joined by a byte that no word holds.
+# A tuple image is held as one int: the level-order words of its trees,
+# which hold only the bytes 0 and 1, joined by the byte 2 and read as
+# base-3 digits after a leading 1.  Any other byte reads as a 2, so a
+# broken word still has a key.
 _SEPARATOR = b"\x02"
+_DIGITS = bytes(b"012"[min(byte, 2)] for byte in range(256))
 
 
-def _tuple_key(t: trees.TreeTuple) -> bytes:
-    return _SEPARATOR.join([tree.word for tree in t.trees])
+def _tuple_key(t: trees.TreeTuple) -> int:
+    words = _SEPARATOR.join([tree.word for tree in t.trees])
+    return int(b"1" + words.translate(_DIGITS), 3)
+
+
+def _tuple_of_key(k: int, key: int) -> trees.TreeTuple:
+    digits = bytearray()
+    while key > 1:
+        key, digit = divmod(key, 3)
+        digits.append(digit)
+    words = bytes(digits[::-1]).split(_SEPARATOR)
+    return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
+                                    for word in words))
 
 
 def check_bijections(k: int, l: int, n: int,
@@ -256,7 +271,7 @@ def check_bijections(k: int, l: int, n: int,
     with VerifyReport("bijections") as report:
         params = ThresholdParams(k, l, n)
         count = 0
-        tuple_keys = set()
+        tuple_keys = []
         # Sequences that first differ at i have rises s_i - s_{i-1} - k
         # that first differ there, the same way, so the path images come
         # in the codomain's lexicographic order.  Each image is merged with
@@ -274,7 +289,7 @@ def check_bijections(k: int, l: int, n: int,
                 t = trees.tuple_of(seq)
                 p = paths.path_of(seq)
                 w = ballot.to_ballot(seq)
-                tuple_keys.add(_tuple_key(t))
+                tuple_keys.append(_tuple_key(t))
                 if p.rises <= last:
                     not_rising.add([list(last_values), list(seq.values)])
                 else:
@@ -308,24 +323,42 @@ def check_bijections(k: int, l: int, n: int,
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
                        count, count)
 
-        # Tuple images do not come in codomain order: the codomain is
-        # streamed once against the set of their keys.  An object met and
-        # not found (also a repeated one, whose key is gone by then) and a
-        # key never met both fail surjectivity.
-        distinct = len(tuple_keys)
+        # Tuple images do not come in codomain order: their keys are sorted
+        # once, so the copies of a repeated image sit side by side, and the
+        # codomain is streamed once against them.  An object whose key is
+        # missing or already met (also a second copy of a repeated image)
+        # and an image never met both fail surjectivity.
+        tuple_keys.sort()
+        size = len(tuple_keys)
+        distinct = size - sum(map(operator.eq, tuple_keys,
+                                  islice(tuple_keys, 1, None)))
+        met = bytearray(size)
         tuple_passed, tuple_unmet = _Offenders(), _Offenders()
         for obj in trees.enumerate_tuples(k, l + 1, n, budget=budget):
-            try:
-                tuple_keys.remove(_tuple_key(obj))
-            except KeyError:
+            key = _tuple_key(obj)
+            i = bisect_left(tuple_keys, key)
+            if i < size and tuple_keys[i] == key and not met[i]:
+                met[i] = 1
+            else:
                 tuple_passed.add(obj)
-        for key in tuple_keys:
-            tuple_unmet.add(trees.TreeTuple(k, tuple(
-                trees.KaryTree._of(k, word) for word in key.split(_SEPARATOR))))
+        # Only the first copy of an image can be met.  The offenders are
+        # named in key order.
+        repeated = _Offenders()
+        if distinct < size or 0 in met:
+            first = 0
+            for key, run in groupby(tuple_keys):
+                if not met[first]:
+                    tuple_unmet.add(_tuple_of_key(k, key))
+                copies = sum(1 for _ in run)
+                if copies > 1:
+                    repeated.add(_tuple_of_key(k, key))
+                first += copies
 
         # A failing cell names up to _OFFENDERS of each kind, as JSON.
         for name, images, named, passed, unmet in (
-                ("tuple", distinct, {}, tuple_passed, tuple_unmet),
+                ("tuple", distinct,
+                 {"repeated_images": [t.to_json() for t in repeated.named]},
+                 tuple_passed, tuple_unmet),
                 ("path", rising, {"not_rising": not_rising.named},
                  path_passed, path_unmet)):
             cell = {"check": f"{name}-injective", "k": k, "l": l, "n": n}

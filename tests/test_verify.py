@@ -2,6 +2,9 @@ import itertools
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,7 +278,8 @@ class TestBijectionSuite:
         json.dumps(report.to_json())
 
     # Sequence i + 1 sent to the tuple of sequence i: its round trip gives
-    # sequence i, one tuple image is lost, and its own tuple, which no
+    # sequence i, one tuple image is lost and the image of sequence i is
+    # named as repeated, and the second sequence's own tuple, which no
     # image now reaches, is met in the codomain and not found.
     @pytest.mark.parametrize("i", [0, 14, 28])
     def test_two_sequences_sent_to_one_tuple(self, monkeypatch, i):
@@ -292,16 +296,39 @@ class TestBijectionSuite:
         assert [(c.params, c.expected, c.observed)
                 for c in report.failures] == [
             ({"check": "tuple-roundtrip", "seq": second}, second, first),
-            ({"check": "tuple-injective", "k": 3, "l": 1, "n": 3}, 30, 29),
+            ({"check": "tuple-injective", "k": 3, "l": 1, "n": 3,
+              "repeated_images": [original(threshold.validate(
+                  first, ThresholdParams(3, 1, 3))).to_json()]}, 30, 29),
             ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
               "unmatched_objects": [original(threshold.validate(
                   second, ThresholdParams(3, 1, 3))).to_json()],
               "unmet_images": []}, 0, 1)]
         json.dumps(report.to_json())
 
+    # With no image held, each codomain key falls past the end of the empty
+    # key list, and every object is met and not found.
+    def test_tuple_map_raising_on_every_sequence(self, monkeypatch):
+        def boom(seq):
+            raise EmptyTupleError("boom")
+        monkeypatch.setattr(trees, "tuple_of", boom)
+        report = verify.check_bijections(3, 1, 3)
+        cells = {c.params["check"]: c for c in report.cells}
+        assert [c.params["seq"] for c in report.cells
+                if c.params["check"] == "map-raised"] == self.sequences_3_1_3()
+        injective = cells["tuple-injective"]
+        assert (injective.params["repeated_images"], injective.expected,
+                injective.observed) == ([], 30, 0)
+        surjective = cells["tuple-surjective"]
+        firsts = itertools.islice(trees.enumerate_tuples(3, 2, 3),
+                                  verify._OFFENDERS)
+        assert (surjective.params["unmatched_objects"],
+                surjective.params["unmet_images"], surjective.expected,
+                surjective.observed) == ([t.to_json() for t in firsts], [],
+                                         0, 30)
+        json.dumps(report.to_json())
+
     # With no codomain object every image is unmet; the cell names
-    # _OFFENDERS of them, which follow set order, so only what each one
-    # is gets pinned.
+    # _OFFENDERS of them, and here only what each one is gets pinned.
     def test_empty_tuple_codomain(self, monkeypatch):
         monkeypatch.setattr(trees, "enumerate_tuples",
                             lambda *args, **kwargs: iter(()))
@@ -319,6 +346,32 @@ class TestBijectionSuite:
             assert list(trees.sequence_of_tuple(t, 3).values) in cell
         json.dumps(report.to_json())
 
+    # The named offenders follow the order of the sorted keys, so a fresh
+    # process under another hash seed writes the same failing report.
+    @pytest.mark.parametrize("codomain", ["[]", "found[5:]"])
+    def test_failing_report_independent_of_hash_seed(self, codomain):
+        script = (
+            "import json\n"
+            "from raneyseq import trees, verify\n"
+            "original = trees.enumerate_tuples\n"
+            "def edited(*args, **kwargs):\n"
+            "    found = list(original(*args, **kwargs))\n"
+            f"    return iter({codomain})\n"
+            "trees.enumerate_tuples = edited\n"
+            "report = verify.check_bijections(3, 1, 3).to_json()\n"
+            "del report['elapsed']\n"
+            "print(json.dumps(report))\n")
+        src = str(Path(verify.__file__).parents[1])
+        reports = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60, check=True)
+            reports.append(json.loads(proc.stdout))
+        assert not reports[0]["pass"]
+        assert reports[0] == reports[1]
+
     def test_more_offenders_than_named(self, monkeypatch):
         original = paths.enumerate_paths
         firsts = []
@@ -335,6 +388,38 @@ class TestBijectionSuite:
                 for c in report.failures] == [("path-surjective", 0, count)]
         # every second copy is unmatched; only the first _OFFENDERS are named
         assert report.failures[0].params["unmatched_objects"] == firsts
+
+
+class TestTupleKey:
+    @staticmethod
+    def tuple_of_words(k, *words):
+        return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
+                                        for word in words))
+
+    @pytest.mark.parametrize("k,l,n", [(3, 1, 4), (2, 0, 6), (4, 0, 4), (5, 3, 3)])
+    def test_decodes_every_tuple_of_a_cell(self, k, l, n):
+        tuples = list(trees.enumerate_tuples(k, l + 1, n))
+        keys = [verify._tuple_key(t) for t in tuples]
+        assert len(set(keys)) == len(keys) == exactmath.raney(k, l + 1, n)
+        for t, key in zip(tuples, keys):
+            assert verify._tuple_of_key(k, key) == t
+
+    # Words of bytes 0 and 1 that join to the same bytes but split
+    # differently, or that differ by a leading or trailing 0
+    @pytest.mark.parametrize("words,other", [
+        ((b"\x00\x01\x00", b"\x01\x00\x00"), (b"\x00", b"\x01\x00\x01\x00\x00")),
+        ((b"\x01\x00\x00",), (b"\x01\x00\x00\x00",)),
+        ((b"\x01\x00\x00", b"\x00"), (b"\x01\x00\x00\x00",)),
+        ((b"\x01",), (b"\x00\x01",))])
+    def test_exact_on_words_of_0_and_1(self, words, other):
+        t, u = self.tuple_of_words(2, *words), self.tuple_of_words(2, *other)
+        assert verify._tuple_key(t) != verify._tuple_key(u)
+        for each in (t, u):
+            assert verify._tuple_of_key(2, verify._tuple_key(each)) == each
+
+    def test_any_other_byte_still_has_a_key(self):
+        t = self.tuple_of_words(2, b"\x01\x05\xff", b"\x02")
+        assert isinstance(verify._tuple_key(t), int)
 
 
 class TestBallotClaim:
