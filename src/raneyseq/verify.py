@@ -239,21 +239,22 @@ class _Offenders:
 
 # A tuple image is held as one int: the level-order words of its trees,
 # which hold only the bytes 0 and 1, joined by the byte 2 and read as
-# base-3 digits after a leading 1.  Any other byte reads as a 2, so a
-# broken word still has a key.
+# base-4 digits after a leading 1.  Any other byte reads as a 2, so a
+# broken word still has a key.  A power-of-two base is not subject to
+# the int-from-string digit cap, so a key of any length converts.
 _SEPARATOR = b"\x02"
 _DIGITS = bytes(b"012"[min(byte, 2)] for byte in range(256))
 
 
 def _tuple_key(t: trees.TreeTuple) -> int:
     words = _SEPARATOR.join([tree.word for tree in t.trees])
-    return int(b"1" + words.translate(_DIGITS), 3)
+    return int(b"1" + words.translate(_DIGITS), 4)
 
 
 def _tuple_of_key(k: int, key: int) -> trees.TreeTuple:
     digits = bytearray()
     while key > 1:
-        key, digit = divmod(key, 3)
+        key, digit = divmod(key, 4)
         digits.append(digit)
     words = bytes(digits[::-1]).split(_SEPARATOR)
     return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)

@@ -489,6 +489,22 @@ class TestVerify:
         assert {cell["params"]["check"] for cell in report["cells"]
                 if not cell["pass"]} == {check}
 
+    # The first sequence's tuple key has 5002 digits, past the cap on
+    # int-from-string conversion; the budget still stops the second.
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no cap on int-to-str digits before 3.10.7")
+    def test_budget_error_past_the_int_from_str_cap(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            code = main(["verify", "--k", "50", "--n", "100",
+                         "--budget", "1"])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: enumeration budget of 1 objects exceeded\n")
     def test_no_offset_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--k", "3", "--n", "2", "--d", "0"])

@@ -421,6 +421,22 @@ class TestTupleKey:
         t = self.tuple_of_words(2, b"\x01\x05\xff", b"\x02")
         assert isinstance(verify._tuple_key(t), int)
 
+    # One tree of k + 1 letters: a key of 4301 digits, one past the cap
+    # on int-from-string conversion in a base that is not a power of two.
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no cap on int-to-str digits before 3.10.7")
+    def test_key_longer_than_the_int_from_str_cap(self):
+        cap = sys.int_info.default_max_str_digits
+        k = cap - 1
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(cap)
+        try:
+            t, = trees.enumerate_tuples(k, 1, 1)
+            assert verify._tuple_of_key(k, verify._tuple_key(t)) == t
+            assert verify.check_bijections(k, 0, 1).passed
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestBallotClaim:
     def test_measurement(self):
