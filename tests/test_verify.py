@@ -305,6 +305,54 @@ class TestBijectionSuite:
               "unmet_images": []}, 0, 1)]
         json.dumps(report.to_json())
 
+    # Every sequence sent to one tuple: 30 copies of one key.
+    @staticmethod
+    def constant_tuple_report(monkeypatch, image):
+        monkeypatch.setattr(trees, "tuple_of", lambda seq: image)
+        report = verify.check_bijections(3, 1, 3)
+        firsts = itertools.islice(trees.enumerate_tuples(3, 2, 3),
+                                  verify._OFFENDERS)
+        return report, [t.to_json() for t in firsts]
+
+    # The one codomain object that holds the key meets all its copies, so
+    # no image is unmet and every other object is unmatched.
+    def test_every_sequence_sent_to_one_codomain_tuple(self, monkeypatch):
+        image = trees.tuple_of(
+            threshold.validate((3, 7, 10), ThresholdParams(3, 1, 3)))
+        assert image.to_json() == [[None, None, None],
+                                   [None, None, [None, None, None]]]
+        report, firsts = self.constant_tuple_report(monkeypatch, image)
+        assert [c.params["seq"] for c in report.failures
+                if c.params["check"] == "tuple-roundtrip"] == [
+            values for values in self.sequences_3_1_3()
+            if values != [3, 7, 10]]
+        assert [(c.params, c.expected, c.observed) for c in report.failures
+                if "seq" not in c.params] == [
+            ({"check": "tuple-injective", "k": 3, "l": 1, "n": 3,
+              "repeated_images": [image.to_json()]}, 30, 1),
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": firsts, "unmet_images": []}, 0, 29)]
+        assert len(report.failures) == 31
+        json.dumps(report.to_json())
+
+    # A tuple outside the codomain: every object is unmatched, and the one
+    # image is unmet once, whatever its number of copies.
+    def test_every_sequence_sent_to_one_tuple_outside_the_codomain(
+            self, monkeypatch):
+        image = trees.TreeTuple(3, (trees.trivial(3), trees.trivial(3)))
+        report, firsts = self.constant_tuple_report(monkeypatch, image)
+        assert [c.params["seq"] for c in report.failures
+                if c.params["check"] == "map-raised"] == self.sequences_3_1_3()
+        assert [(c.params, c.expected, c.observed) for c in report.failures
+                if "seq" not in c.params] == [
+            ({"check": "tuple-injective", "k": 3, "l": 1, "n": 3,
+              "repeated_images": [[None, None]]}, 30, 1),
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": firsts, "unmet_images": [[None, None]]},
+             0, 31)]
+        assert len(report.failures) == 32
+        json.dumps(report.to_json())
+
     # With no image held, each codomain key falls past the end of the empty
     # key list, and every object is met and not found.
     def test_tuple_map_raising_on_every_sequence(self, monkeypatch):
