@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import operator
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, combinations, compress, groupby, islice
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError, RaneyseqError
@@ -326,38 +326,33 @@ def check_bijections(k: int, l: int, n: int,
 
         # Tuple images do not come in codomain order: their keys are sorted
         # once, so the copies of a repeated image sit side by side, and the
-        # codomain is streamed once against them.  An object whose key is
-        # missing or already met (also a second copy of a repeated image)
-        # and an image never met both fail surjectivity.
+        # codomain is streamed once against them.  An object that finds its
+        # key unmet meets every copy of it; an object whose key is missing
+        # or already met, and an image never met, fail surjectivity.
         tuple_keys.sort()
-        size = len(tuple_keys)
-        distinct = size - sum(map(operator.eq, tuple_keys,
-                                  islice(tuple_keys, 1, None)))
-        met = bytearray(size)
-        tuple_passed, tuple_unmet = _Offenders(), _Offenders()
+        met = bytearray(len(tuple_keys))
+        matched, tuple_passed = 0, _Offenders()
         for obj in trees.enumerate_tuples(k, l + 1, n, budget=budget):
             key = _tuple_key(obj)
             i = bisect_left(tuple_keys, key)
-            if i < size and tuple_keys[i] == key and not met[i]:
-                met[i] = 1
+            j = bisect_right(tuple_keys, key, i)
+            if i < j and not met[i]:
+                met[i:j] = b"\x01" * (j - i)
+                matched += 1
             else:
                 tuple_passed.add(obj)
-        # Only the first copy of an image can be met.  The offenders are
-        # named in key order.
-        repeated = _Offenders()
-        if distinct < size or 0 in met:
-            first = 0
-            for key, run in groupby(tuple_keys):
-                if not met[first]:
-                    tuple_unmet.add(_tuple_of_key(k, key))
-                copies = sum(1 for _ in run)
-                if copies > 1:
-                    repeated.add(_tuple_of_key(k, key))
-                first += copies
+        # One scan each for the unmet keys and the keys equal to the next,
+        # so the offenders are named in key order.
+        tuple_unmet, repeated = _Offenders(), _Offenders()
+        for key, _ in groupby(compress(tuple_keys, map(operator.not_, met))):
+            tuple_unmet.add(_tuple_of_key(k, key))
+        for key, _ in groupby(compress(tuple_keys, map(
+                operator.eq, tuple_keys, islice(tuple_keys, 1, None)))):
+            repeated.add(_tuple_of_key(k, key))
 
         # A failing cell names up to _OFFENDERS of each kind, as JSON.
         for name, images, named, passed, unmet in (
-                ("tuple", distinct,
+                ("tuple", matched + tuple_unmet.count,
                  {"repeated_images": [t.to_json() for t in repeated.named]},
                  tuple_passed, tuple_unmet),
                 ("path", rising, {"not_rising": not_rising.named},
