@@ -15,7 +15,8 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, compress, groupby, islice
+from itertools import (
+    accumulate, chain, combinations, compress, groupby, islice)
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError, RaneyseqError
@@ -261,6 +262,23 @@ def _tuple_of_key(k: int, key: int) -> trees.TreeTuple:
                                     for word in words))
 
 
+def _is_tree_word(k: int, word: bytes) -> bool:
+    """Whether word is the level-order word of a k-ary tree: bytes 0 and 1
+    only, a root and k children per internal node, and each node past the
+    root a child of the internal nodes before it."""
+    return (not word.translate(None, b"\x00\x01")
+            and len(word) == k * word.count(1) + 1
+            and all(map(operator.ge, accumulate(map(k.__mul__, word[:-1])),
+                        range(1, len(word)))))
+
+
+def _tuple_json(t: trees.TreeTuple) -> list:
+    """A named tuple as JSON.  An entry that is not a k-ary tree's word,
+    which only a broken map or codomain makes, is written as its bytes."""
+    return [tree.to_json() if _is_tree_word(t.k, tree.word)
+            else list(tree.word) for tree in t.trees]
+
+
 def check_bijections(k: int, l: int, n: int,
                      budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Round-trip, injectivity and surjectivity checks for tuple_of,
@@ -351,20 +369,20 @@ def check_bijections(k: int, l: int, n: int,
             repeated.add(_tuple_of_key(k, key))
 
         # A failing cell names up to _OFFENDERS of each kind, as JSON.
-        for name, images, named, passed, unmet in (
+        for name, images, named, passed, unmet, write in (
                 ("tuple", matched + tuple_unmet.count,
-                 {"repeated_images": [t.to_json() for t in repeated.named]},
-                 tuple_passed, tuple_unmet),
+                 {"repeated_images": list(map(_tuple_json, repeated.named))},
+                 tuple_passed, tuple_unmet, _tuple_json),
                 ("path", rising, {"not_rising": not_rising.named},
-                 path_passed, path_unmet)):
+                 path_passed, path_unmet, operator.methodcaller("to_json"))):
             cell = {"check": f"{name}-injective", "k": k, "l": l, "n": n}
             if images != count:
                 cell.update(named)
             report.add(cell, count, images)
             cell = {"check": f"{name}-surjective", "k": k, "l": l, "n": n}
             if passed.count or unmet.count:
-                cell["unmatched_objects"] = [o.to_json() for o in passed.named]
-                cell["unmet_images"] = [o.to_json() for o in unmet.named]
+                cell["unmatched_objects"] = list(map(write, passed.named))
+                cell["unmet_images"] = list(map(write, unmet.named))
             report.add(cell, 0, passed.count + unmet.count)
     return report
 

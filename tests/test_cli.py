@@ -489,6 +489,27 @@ class TestVerify:
         assert {cell["params"]["check"] for cell in report["cells"]
                 if not cell["pass"]} == {check}
 
+    # A tuple image whose first word is one byte short fails the cell
+    # with a report, not a traceback.
+    def test_malformed_tuple_image_exits_one(self, capsys, monkeypatch):
+        original = trees.tuple_of
+
+        def short(seq):
+            t = original(seq)
+            if seq.values != (3, 6, 10):
+                return t
+            first, *rest = t.trees
+            return trees.TreeTuple(3, (trees.KaryTree._of(3, first.word[:-1]),
+                                       *rest))
+        monkeypatch.setattr(trees, "tuple_of", short)
+        code, out = run(capsys, "verify", "--k", "3", "--l", "1", "--n", "3")
+        assert code == 1
+        assert out.count("\n") == 1
+        failures = [cell for cell in json.loads(out)["cells"]
+                    if not cell["pass"]]
+        assert [cell["params"]["unmet_images"] for cell in failures] == [
+            [[[1, 0, 0, 1, 0, 0], [None, None, None]]]]
+
     # The first sequence's tuple key has 5002 digits, past the cap on
     # int-from-string conversion; the budget still stops the second.
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -353,6 +353,57 @@ class TestBijectionSuite:
         assert len(report.failures) == 32
         json.dumps(report.to_json())
 
+    # tuple_of sends [3, 6, 10] to a tuple of the given words in place of
+    # its image, whose JSON is returned.
+    @staticmethod
+    def break_image_of_3_6_10(monkeypatch, *words):
+        original = trees.tuple_of
+
+        def broken(seq):
+            if seq.values == (3, 6, 10):
+                return trees.TreeTuple(3, tuple(trees.KaryTree._of(3, word)
+                                                for word in words))
+            return original(seq)
+        monkeypatch.setattr(trees, "tuple_of", broken)
+        image = original(
+            threshold.validate((3, 6, 10), ThresholdParams(3, 1, 3)))
+        assert image.to_json() == [[None, None, [None, None, None]],
+                                   [None, None, None]]
+        return image.to_json()
+
+    # A first word one byte short, or with three more leaves, still round
+    # trips; the image is unmet and named as it is, each malformed entry as
+    # its bytes, and no exception escapes.
+    @pytest.mark.parametrize("first", [bytes([1, 0, 0, 1, 0, 0]),
+                                       bytes([1, 0, 0, 1, 0, 0, 0, 0, 0, 0])],
+                             ids=["short", "long"])
+    def test_malformed_tree_word_named_as_its_bytes(self, monkeypatch, first):
+        image = self.break_image_of_3_6_10(monkeypatch, first,
+                                           bytes([1, 0, 0, 0]))
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": [image],
+              "unmet_images": [[list(first), [None, None, None]]]}, 0, 2)]
+        json.dumps(report.to_json())
+
+    def test_malformed_codomain_tuple_named_as_its_bytes(self, monkeypatch):
+        original = trees.enumerate_tuples
+        malformed = trees.TreeTuple(
+            3, (trees.KaryTree._of(3, bytes([1, 0, 0])), trees.trivial(3)))
+        monkeypatch.setattr(
+            trees, "enumerate_tuples",
+            lambda *args, **kwargs: itertools.chain(
+                original(*args, **kwargs), [malformed]))
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": [[[1, 0, 0], None]], "unmet_images": []},
+             0, 1)]
+        json.dumps(report.to_json())
+
     # With no image held, each codomain key falls past the end of the empty
     # key list, and every object is met and not found.
     def test_tuple_map_raising_on_every_sequence(self, monkeypatch):
@@ -484,6 +535,21 @@ class TestTupleKey:
             assert verify.check_bijections(k, 0, 1).passed
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+class TestTreeWord:
+    # Every word of the bytes 0, 1 and 2 up to length 7 passes the test
+    # exactly when the tree enumerator makes it.
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_agrees_with_the_tree_enumerator(self, k):
+        words = {tree.word for n in range(7 // k + 1)
+                 for tree in trees.enumerate_trees(k, n)}
+        assert len(words) == sum(exactmath.raney(k, 1, n)
+                                 for n in range(7 // k + 1))
+        for length in range(8):
+            for word in map(bytes, itertools.product((0, 1, 2),
+                                                     repeat=length)):
+                assert verify._is_tree_word(k, word) == (word in words), word
 
 
 class TestBallotClaim:
