@@ -238,26 +238,36 @@ class _Offenders:
             self.named.append(obj)
 
 
-# A tuple image is held as one int: the level-order words of its trees,
-# which hold only the bytes 0 and 1, joined by the byte 2 and read as
-# base-4 digits after a leading 1.  Any other byte reads as a 2, so a
-# broken word still has a key.  A power-of-two base is not subject to
-# the int-from-string digit cap, so a key of any length converts.
-_SEPARATOR = b"\x02"
-_DIGITS = bytes(b"012"[min(byte, 2)] for byte in range(256))
+# A tuple image is held as one int: the digits of its trees' level-order
+# words, joined by the digit 2 and read in base 4 after a leading 1.  A
+# tree's word holds only the bytes 0 and 1, which are its digits.  If any
+# word holds another byte, every word is written as the digit 3 and then
+# its bytes' bits, so every key is exact and only a separator reads as 2.
+# A power-of-two base is not subject to the int-from-string digit cap, so
+# a key of any length converts.
+_SEPARATOR = b"2"
+_DIGITS = bytes(b"013"[min(byte, 2)] for byte in range(256))
+_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _tuple_key(t: trees.TreeTuple) -> int:
-    words = _SEPARATOR.join([tree.word for tree in t.trees])
-    return int(b"1" + words.translate(_DIGITS), 4)
+    digits = _SEPARATOR.join([tree.word.translate(_DIGITS)
+                              for tree in t.trees])
+    if ord("3") in digits:
+        digits = _SEPARATOR.join(
+            [b"3" + "".join(map("{:08b}".format, tree.word)).encode()
+             for tree in t.trees])
+    return int(b"1" + digits, 4)
 
 
 def _tuple_of_key(k: int, key: int) -> trees.TreeTuple:
     digits = bytearray()
     while key > 1:
         key, digit = divmod(key, 4)
-        digits.append(digit)
-    words = bytes(digits[::-1]).split(_SEPARATOR)
+        digits.append(b"0123"[digit])
+    words = [bytes(int(word[i:i + 8], 2) for i in range(1, len(word), 8))
+             if word[:1] == b"3" else word.translate(_BYTES)
+             for word in bytes(digits[::-1]).split(_SEPARATOR)]
     return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
                                     for word in words))
 

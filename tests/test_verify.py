@@ -388,6 +388,21 @@ class TestBijectionSuite:
               "unmet_images": [[list(first), [None, None, None]]]}, 0, 2)]
         json.dumps(report.to_json())
 
+    # One tree whose word is the image's two words joined by the byte 2:
+    # its key is not the image's, so both fail surjectivity.
+    def test_word_holding_the_separator_byte_is_unmet(self, monkeypatch):
+        word = bytes([1, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0])
+        image = self.break_image_of_3_6_10(monkeypatch, word)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed) for c in report.failures
+                if c.params["check"] != "map-raised"] == [
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": [image], "unmet_images": [[list(word)]]},
+             0, 2)]
+        assert [c.params["seq"] for c in report.failures
+                if c.params["check"] == "map-raised"] == [[3, 6, 10]]
+        json.dumps(report.to_json())
+
     def test_malformed_codomain_tuple_named_as_its_bytes(self, monkeypatch):
         original = trees.enumerate_tuples
         malformed = trees.TreeTuple(
@@ -519,6 +534,17 @@ class TestTupleKey:
     def test_any_other_byte_still_has_a_key(self):
         t = self.tuple_of_words(2, b"\x01\x05\xff", b"\x02")
         assert isinstance(verify._tuple_key(t), int)
+
+    # A byte 2 in a word is not a separator, and other bytes stay apart.
+    def test_exact_on_any_word_bytes(self):
+        tuples = [self.tuple_of_words(2, b"\x01\x05\x00"),
+                  self.tuple_of_words(2, b"\x01\x02\x00"),
+                  self.tuple_of_words(2, b"\x01", b"\x00"),
+                  self.tuple_of_words(2, b"", b"\x01\x00\xff", b"")]
+        keys = [verify._tuple_key(t) for t in tuples]
+        assert len(set(keys)) == len(keys)
+        for t, key in zip(tuples, keys):
+            assert verify._tuple_of_key(2, key) == t
 
     # One tree of k + 1 letters: a key of 4301 digits, one past the cap
     # on int-from-string conversion in a base that is not a power of two.
