@@ -353,6 +353,33 @@ class TestBijectionSuite:
         assert len(report.failures) == 32
         json.dumps(report.to_json())
 
+    # A malformed image sent by every sequence is named as its bytes both
+    # as the repeated image and as the unmet one.
+    def test_malformed_repeated_image_named_as_its_bytes(self, monkeypatch):
+        image = trees.TreeTuple(
+            3, (trees.KaryTree._of(3, bytes([1, 0])), trees.trivial(3)))
+        report, firsts = self.constant_tuple_report(monkeypatch, image)
+        assert [(c.params, c.expected, c.observed) for c in report.failures
+                if "seq" not in c.params] == [
+            ({"check": "tuple-injective", "k": 3, "l": 1, "n": 3,
+              "repeated_images": [[[1, 0], None]]}, 30, 1),
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": firsts, "unmet_images": [[[1, 0], None]]},
+             0, 31)]
+        json.dumps(report.to_json())
+
+    # With no codomain object, the first three images in key order are
+    # named, as recorded when the keys were first sorted.
+    def test_unmet_images_named_in_key_order(self, monkeypatch):
+        monkeypatch.setattr(trees, "enumerate_tuples",
+                            lambda *args, **kwargs: iter(()))
+        report = verify.check_bijections(3, 1, 3)
+        leaf = [None, None, None]
+        assert report.failures[0].params["unmet_images"] == [
+            [None, [None, None, [None, None, leaf]]],
+            [None, [None, None, [None, leaf, None]]],
+            [None, [None, None, [leaf, None, None]]]]
+
     # tuple_of sends [3, 6, 10] to a tuple of the given words in place of
     # its image, whose JSON is returned.
     @staticmethod
@@ -545,6 +572,14 @@ class TestTupleKey:
         assert len(set(keys)) == len(keys)
         for t, key in zip(tuples, keys):
             assert verify._tuple_of_key(2, key) == t
+
+    # A tuple of trees costs two bits per node and per separator, past the
+    # leading 1: its words are their own digits.
+    @pytest.mark.parametrize("k,r,n", [(2, 1, 6), (3, 2, 4), (5, 4, 3)])
+    def test_two_bits_per_node(self, k, r, n):
+        for t in trees.enumerate_tuples(k, r, n):
+            digits = sum(tree.node_count for tree in t.trees) + r - 1
+            assert verify._tuple_key(t).bit_length() == 2 * digits + 1
 
     # One tree of k + 1 letters: a key of 4301 digits, one past the cap
     # on int-from-string conversion in a base that is not a power of two.
