@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 import operator
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import (
-    accumulate, chain, combinations, compress, groupby, islice)
+from itertools import accumulate, combinations, compress
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError, RaneyseqError
@@ -238,40 +236,6 @@ class _Offenders:
             self.named.append(obj)
 
 
-# A tuple image is held as one int: the digits of its trees' level-order
-# words, joined by the digit 2 and read in base 4 after a leading 1.  A
-# tree's word holds only the bytes 0 and 1, which are its digits.  If any
-# word holds another byte, every word is written as the digit 3 and then
-# its bytes' bits, so every key is exact and only a separator reads as 2.
-# A power-of-two base is not subject to the int-from-string digit cap, so
-# a key of any length converts.
-_SEPARATOR = b"2"
-_DIGITS = bytes(b"013"[min(byte, 2)] for byte in range(256))
-_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _tuple_key(t: trees.TreeTuple) -> int:
-    digits = _SEPARATOR.join([tree.word.translate(_DIGITS)
-                              for tree in t.trees])
-    if ord("3") in digits:
-        digits = _SEPARATOR.join(
-            [b"3" + "".join(map("{:08b}".format, tree.word)).encode()
-             for tree in t.trees])
-    return int(b"1" + digits, 4)
-
-
-def _tuple_of_key(k: int, key: int) -> trees.TreeTuple:
-    digits = bytearray()
-    while key > 1:
-        key, digit = divmod(key, 4)
-        digits.append(b"0123"[digit])
-    words = [bytes(int(word[i:i + 8], 2) for i in range(1, len(word), 8))
-             if word[:1] == b"3" else word.translate(_BYTES)
-             for word in bytes(digits[::-1]).split(_SEPARATOR)]
-    return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
-                                    for word in words))
-
-
 def _is_tree_word(k: int, word: bytes) -> bool:
     """Whether word is the level-order word of a k-ary tree: bytes 0 and 1
     only, a root and k children per internal node, and each node past the
@@ -289,111 +253,146 @@ def _tuple_json(t: trees.TreeTuple) -> list:
             else list(tree.word) for tree in t.trees]
 
 
+def _ranker(params: ThresholdParams):
+    """The number of the cell's sequences, and the lexicographic rank of a
+    valid sequence's values.  above[i-1][v] counts the ways to fill
+    positions i ... n of a sequence of the cell with values v or more, so
+    those that agree with s before i and are smaller at i number
+    above[i-1][s_{i-1}+1] - above[i-1][s_i], with s_0 = 0."""
+    k, upper = params.k, params.upper
+    above = [[1] * (upper + 2)]  # one way to fill no position
+    for i in range(params.n, 0, -1):
+        # tails[v]: the ways with s_i >= v, for v = 0 ... upper
+        tails = list(accumulate(reversed(above[0][1:])))[::-1]
+        above.insert(0, [tails[k * i]] * (k * i) + tails[k * i:] + [0])
+    del above[-1]
+
+    def rank(values: tuple[int, ...]) -> int:
+        return (sum(map(list.__getitem__, above,
+                        map((1).__add__, (0, *values))))
+                - sum(map(list.__getitem__, above, values)))
+    return above[0][1], rank
+
+
+def _map_raised(report: VerifyReport, seq, exc: RaneyseqError) -> None:
+    """A map that raised on a valid sequence, as a failing cell."""
+    report.add({"check": "map-raised", "seq": list(seq.values)},
+               "no error", f"{type(exc).__name__}: {exc}")
+
+
+def _half(report: VerifyReport, params: ThresholdParams, budget: int,
+          ranker, name: str, codomain, forward, inverse) -> tuple:
+    """Check forward and inverse as inverse bijections from the codomain.
+    An object x whose inverse s is a valid sequence, not marked yet, with
+    forward(s) == x marks the flag byte of s's rank.  If every byte is
+    marked, inverse is one-to-one and onto and forward is its inverse;
+    else the unmarked sequences are walked again.  Returns the number of
+    distinct images and, as _Offenders, the repeated images, the objects
+    that mark nothing and the images that no object meets."""
+    total, rank = ranker
+
+    def back(obj):
+        return threshold.validate(inverse(obj).values, params)
+
+    met, unmatched = bytearray(total), _Offenders()
+    for obj in codomain:
+        try:
+            seq = back(obj)
+            r = rank(seq.values)
+            if not met[r] and forward(seq) == obj:
+                met[r] = 1
+                continue
+        except RaneyseqError:
+            pass
+        unmatched.add(obj)
+    repeated, unmet, held = _Offenders(), _Offenders(), {}
+    unreached = compress(threshold.enumerate_sequences(params, budget=budget),
+                         map(operator.not_, met)) if 0 in met else ()
+    for seq in unreached:
+        try:
+            image = forward(seq)
+        except RaneyseqError as exc:
+            _map_raised(report, seq, exc)
+            continue
+        try:
+            other = back(image)
+            if other.values != seq.values:
+                report.add({"check": f"{name}-roundtrip",
+                            "seq": list(seq.values)},
+                           list(seq.values), list(other.values))
+            home = forward(other) == image
+        except RaneyseqError as exc:
+            _map_raised(report, seq, exc)
+            home = False
+        # An image that comes home to seq is seq's alone, and is not held.
+        # Any other is held, one sighting ahead if it comes home to another
+        # sequence, which counts it.  The first sighting counts an image,
+        # and the second names it repeated.
+        seen = 1
+        if not home or other.values != seq.values:
+            held[image] = seen = held.get(image, home) + 1
+        if seen == 1:
+            unmet.add(image)
+        elif seen == 2:
+            repeated.add(image)
+    return met.count(1) + unmet.count, repeated, unmatched, unmet
+
+
 def check_bijections(k: int, l: int, n: int,
                      budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Round-trip, injectivity and surjectivity checks for tuple_of,
     path_of and the ballot encoding over the fully enumerated (k, l, n)
-    cell.
-
-    On a failure the offending object is recorded verbatim in the cell.
-    """
+    cell: the first two by _half, and the ballot word and each sequence's
+    rank in the sequence loop, which goes on past a map that raises.  On a
+    failure the offending object is recorded verbatim in the cell."""
     with VerifyReport("bijections") as report:
         params = ThresholdParams(k, l, n)
+        params.require_n("enumeration")
+        if raney(k, l + 1, n) > budget:
+            raise BudgetExceededError(budget)
+        _, rank = ranker = _ranker(params)
         count = 0
-        tuple_keys = []
-        # Sequences that first differ at i have rises s_i - s_{i-1} - k
-        # that first differ there, the same way, so the path images come
-        # in the codomain's lexicographic order.  Each image is merged with
-        # the codomain as it comes, and none is held.  An image that does
-        # not rise above the last one merged fails injectivity; a codomain
-        # object passed over and an image not met fail surjectivity.
-        codomain = paths.enumerate_paths(k, l, n, budget=budget)
-        head = next(codomain, None)
-        last, last_values = (), ()  # () sorts below every path's rises
-        rising, not_rising = 0, _Offenders()
-        path_passed, path_unmet = _Offenders(), _Offenders()
         for seq in threshold.enumerate_sequences(params, budget=budget):
+            if rank(seq.values) != count:
+                report.add({"check": "seq-rank", "seq": list(seq.values)},
+                           count, rank(seq.values))
             count += 1
             try:
-                t = trees.tuple_of(seq)
-                p = paths.path_of(seq)
                 w = ballot.to_ballot(seq)
-                tuple_keys.append(_tuple_key(t))
-                if p.rises <= last:
-                    not_rising.add([list(last_values), list(seq.values)])
-                else:
-                    rising += 1
-                    last, last_values = p.rises, seq.values
-                    while head is not None and head.rises < p.rises:
-                        path_passed.add(head)
-                        head = next(codomain, None)
-                    if head == p:
-                        head = next(codomain, None)
-                    else:
-                        path_unmet.add(p)
-                for check, back in (
-                        ("tuple-roundtrip", trees.sequence_of_tuple(t, n)),
-                        ("path-roundtrip", paths.sequence_of_path(p, l)),
-                        ("ballot-roundtrip", ballot.from_ballot(w, k, l))):
-                    if back.values != seq.values:
-                        report.add({"check": check, "seq": list(seq.values)},
-                                   list(seq.values), list(back.values))
+                back = ballot.from_ballot(w, k, l).values
+                if back != seq.values:
+                    report.add({"check": "ballot-roundtrip",
+                                "seq": list(seq.values)},
+                               list(seq.values), list(back))
                 if not ballot.is_k_ballot_isolated(w, k):
                     report.add({"check": "ballot-isolated",
                                 "seq": list(seq.values)}, True, False)
             except RaneyseqError as exc:
-                # A map that raises on a valid sequence is a failing cell,
-                # and the suite goes on to the next sequence.
-                report.add({"check": "map-raised", "seq": list(seq.values)},
-                           "no error", f"{type(exc).__name__}: {exc}")
-        for obj in chain([head], codomain) if head is not None else ():
-            path_passed.add(obj)
+                _map_raised(report, seq, exc)
+        halves = [
+            ("tuple", _tuple_json, _half(
+                report, params, budget, ranker, "tuple",
+                trees.enumerate_tuples(k, l + 1, n, budget=budget),
+                trees.tuple_of, lambda t: trees.sequence_of_tuple(t, n))),
+            ("path", operator.methodcaller("to_json"), _half(
+                report, params, budget, ranker, "path",
+                paths.enumerate_paths(k, l, n, budget=budget),
+                paths.path_of, lambda p: paths.sequence_of_path(p, l)))]
         if not report.cells:
             report.add({"check": "roundtrips", "k": k, "l": l, "n": n},
                        count, count)
 
-        # Tuple images do not come in codomain order: their keys are sorted
-        # once, so the copies of a repeated image sit side by side, and the
-        # codomain is streamed once against them.  An object that finds its
-        # key unmet meets every copy of it; an object whose key is missing
-        # or already met, and an image never met, fail surjectivity.
-        tuple_keys.sort()
-        met = bytearray(len(tuple_keys))
-        matched, tuple_passed = 0, _Offenders()
-        for obj in trees.enumerate_tuples(k, l + 1, n, budget=budget):
-            key = _tuple_key(obj)
-            i = bisect_left(tuple_keys, key)
-            j = bisect_right(tuple_keys, key, i)
-            if i < j and not met[i]:
-                met[i:j] = b"\x01" * (j - i)
-                matched += 1
-            else:
-                tuple_passed.add(obj)
-        # One scan each for the unmet keys and the keys equal to the next,
-        # so the offenders are named in key order.
-        tuple_unmet, repeated = _Offenders(), _Offenders()
-        for key, _ in groupby(compress(tuple_keys, map(operator.not_, met))):
-            tuple_unmet.add(_tuple_of_key(k, key))
-        for key, _ in groupby(compress(tuple_keys, map(
-                operator.eq, tuple_keys, islice(tuple_keys, 1, None)))):
-            repeated.add(_tuple_of_key(k, key))
-
         # A failing cell names up to _OFFENDERS of each kind, as JSON.
-        for name, images, named, passed, unmet, write in (
-                ("tuple", matched + tuple_unmet.count,
-                 {"repeated_images": list(map(_tuple_json, repeated.named))},
-                 tuple_passed, tuple_unmet, _tuple_json),
-                ("path", rising, {"not_rising": not_rising.named},
-                 path_passed, path_unmet, operator.methodcaller("to_json"))):
+        for name, write, (images, repeated, unmatched, unmet) in halves:
             cell = {"check": f"{name}-injective", "k": k, "l": l, "n": n}
             if images != count:
-                cell.update(named)
+                cell["repeated_images"] = list(map(write, repeated.named))
             report.add(cell, count, images)
             cell = {"check": f"{name}-surjective", "k": k, "l": l, "n": n}
-            if passed.count or unmet.count:
-                cell["unmatched_objects"] = list(map(write, passed.named))
+            if unmatched.count or unmet.count:
+                cell["unmatched_objects"] = list(map(write, unmatched.named))
                 cell["unmet_images"] = list(map(write, unmet.named))
-            report.add(cell, 0, passed.count + unmet.count)
+            report.add(cell, 0, unmatched.count + unmet.count)
     return report
 
 

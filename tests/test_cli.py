@@ -471,23 +471,26 @@ class TestVerify:
     def raise_boom(*args):
         raise EmptyTupleError("boom")
 
-    # Each map made wrong in one way, and the check that must then fail.
-    @pytest.mark.parametrize("module,name,wrong,check", [
-        (trees, "sequence_of_tuple", raise_boom, "map-raised"),
+    # Each map made wrong in one way, and the checks that must then fail: a
+    # wrong inverse also leaves codomain objects unmatched.
+    @pytest.mark.parametrize("module,name,wrong,checks", [
+        (trees, "sequence_of_tuple", raise_boom,
+         {"map-raised", "tuple-surjective"}),
         (paths, "sequence_of_path", lambda path, l: threshold.validate(
-            (3, 6, 9), ThresholdParams(3, 1, 3)), "path-roundtrip"),
+            (3, 6, 9), ThresholdParams(3, 1, 3)),
+         {"path-roundtrip", "path-surjective"}),
         (ballot, "is_k_ballot_isolated", lambda word, k: False,
-         "ballot-isolated")], ids=["map-raised", "path-roundtrip",
-                                   "ballot-isolated"])
+         {"ballot-isolated"})], ids=["map-raised", "path-roundtrip",
+                                     "ballot-isolated"])
     def test_failing_cell_exits_one(self, capsys, monkeypatch, module, name,
-                                    wrong, check):
+                                    wrong, checks):
         monkeypatch.setattr(module, name, wrong)
         code, out = run(capsys, "verify", "--k", "3", "--l", "1", "--n", "3")
         assert code == 1
         report = json.loads(out)
         assert report["pass"] is False
         assert {cell["params"]["check"] for cell in report["cells"]
-                if not cell["pass"]} == {check}
+                if not cell["pass"]} == checks
 
     # A tuple image whose first word is one byte short fails the cell
     # with a report, not a traceback.
@@ -510,8 +513,9 @@ class TestVerify:
         assert [cell["params"]["unmet_images"] for cell in failures] == [
             [[[1, 0, 0, 1, 0, 0], [None, None, None]]]]
 
-    # The first sequence's tuple key has 5002 digits, past the cap on
-    # int-from-string conversion; the budget still stops the second.
+    # R_100^(50,1) is past the budget of 1, so the suite stops before it
+    # builds its rank table or enumerates; the default cap on int-to-str
+    # conversion holds.
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no cap on int-to-str digits before 3.10.7")
     def test_budget_error_past_the_int_from_str_cap(self, capsys):

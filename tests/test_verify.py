@@ -197,24 +197,40 @@ class TestBijectionSuite:
         return [list(s.values) for s in
                 threshold.enumerate_sequences(ThresholdParams(3, 1, 3))]
 
+    # The inverse fails every codomain object, so no sequence is marked:
+    # each object is unmatched, and each image is unmet.
     def test_map_raising_fails_a_cell_per_sequence(self, monkeypatch):
         def boom(*args):
             raise EmptyTupleError("boom")
         monkeypatch.setattr(trees, "sequence_of_tuple", boom)
         report = verify.check_bijections(3, 1, 3)
+        firsts = [t.to_json() for t in itertools.islice(
+            trees.enumerate_tuples(3, 2, 3), verify._OFFENDERS)]
+        images = [trees.tuple_of(threshold.validate(
+            values, ThresholdParams(3, 1, 3))).to_json()
+            for values in self.sequences_3_1_3()[:verify._OFFENDERS]]
         assert [(c.params, c.observed) for c in report.failures] == [
             ({"check": "map-raised", "seq": values}, "EmptyTupleError: boom")
-            for values in self.sequences_3_1_3()]
+            for values in self.sequences_3_1_3()] + [
+            ({"check": "tuple-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": firsts, "unmet_images": images}, 60)]
         json.dumps(report.to_json())
 
+    # Only the lowest path comes home; every other path is unmatched, and
+    # the image of every other sequence unmet.
     def test_wrong_path_inverse_fails_its_round_trips(self, monkeypatch):
         lowest = threshold.validate((3, 6, 9), ThresholdParams(3, 1, 3))
         monkeypatch.setattr(paths, "sequence_of_path", lambda path, l: lowest)
         report = verify.check_bijections(3, 1, 3)
+        others = [paths.path_of(threshold.validate(
+            values, ThresholdParams(3, 1, 3))).to_json()
+            for values in self.sequences_3_1_3()[1:1 + verify._OFFENDERS]]
         assert [(c.params, c.expected, c.observed)
                 for c in report.failures] == [
             ({"check": "path-roundtrip", "seq": values}, values, [3, 6, 9])
-            for values in self.sequences_3_1_3() if values != [3, 6, 9]]
+            for values in self.sequences_3_1_3() if values != [3, 6, 9]] + [
+            ({"check": "path-surjective", "k": 3, "l": 1, "n": 3,
+              "unmatched_objects": others, "unmet_images": others}, 0, 58)]
 
     def test_word_not_ballot_isolated(self, monkeypatch):
         monkeypatch.setattr(ballot, "is_k_ballot_isolated",
@@ -249,9 +265,9 @@ class TestBijectionSuite:
             (firsts, []) if edit == "repeat" else ([], firsts))
         json.dumps(report.to_json())
 
-    # Two adjacent sequences sent to one path: the second image does not
-    # rise, and the second sequence's own path, which no image now reaches,
-    # is passed over once (at i = 28, after the last sequence).
+    # Two adjacent sequences sent to one path: the path shared by both is
+    # repeated, and the second sequence's own path, which no image now
+    # reaches, is unmatched.
     @pytest.mark.parametrize("i", [0, 14, 28])
     def test_two_sequences_sent_to_one_path(self, monkeypatch, i):
         values = self.sequences_3_1_3()
@@ -269,7 +285,8 @@ class TestBijectionSuite:
             "path-roundtrip", "path-injective", "path-surjective"]
         injective = failures["path-injective"]
         assert (injective.expected, injective.observed) == (30, 29)
-        assert injective.params["not_rising"] == [[first, second]]
+        assert injective.params["repeated_images"] == [original(
+            threshold.validate(first, ThresholdParams(3, 1, 3))).to_json()]
         surjective = failures["path-surjective"]
         assert (surjective.expected, surjective.observed) == (0, 1)
         skipped = original(threshold.validate(second, ThresholdParams(3, 1, 3)))
@@ -368,17 +385,17 @@ class TestBijectionSuite:
              0, 31)]
         json.dumps(report.to_json())
 
-    # With no codomain object, the first three images in key order are
-    # named, as recorded when the keys were first sorted.
-    def test_unmet_images_named_in_key_order(self, monkeypatch):
+    # With no codomain object, the images of the first three sequences in
+    # lexicographic order are named.
+    def test_unmet_images_named_in_sequence_order(self, monkeypatch):
         monkeypatch.setattr(trees, "enumerate_tuples",
                             lambda *args, **kwargs: iter(()))
         report = verify.check_bijections(3, 1, 3)
         leaf = [None, None, None]
         assert report.failures[0].params["unmet_images"] == [
-            [None, [None, None, [None, None, leaf]]],
-            [None, [None, None, [None, leaf, None]]],
-            [None, [None, None, [leaf, None, None]]]]
+            [[None, None, [None, None, leaf]], None],
+            [[None, None, leaf], leaf],
+            [[None, [None, None, leaf], None], None]]
 
     # tuple_of sends [3, 6, 10] to a tuple of the given words in place of
     # its image, whose JSON is returned.
@@ -513,6 +530,62 @@ class TestBijectionSuite:
         assert not reports[0]["pass"]
         assert reports[0] == reports[1]
 
+    # Two adjacent sequences swapped by the enumerator: each is named with
+    # its index and its rank, and every codomain object still comes home.
+    def test_swapped_sequences_fail_their_ranks(self, monkeypatch):
+        original = threshold.enumerate_sequences
+        values = self.sequences_3_1_3()
+
+        def swapped(*args, **kwargs):
+            found = list(original(*args, **kwargs))
+            found[14:16] = found[15:13:-1]
+            return iter(found)
+        monkeypatch.setattr(threshold, "enumerate_sequences", swapped)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "seq-rank", "seq": values[15]}, 14, 15),
+            ({"check": "seq-rank", "seq": values[14]}, 15, 14)]
+
+    # A path inverse past the upper bound, built without validate: every
+    # path is unmatched, and each round trip raises as a failing cell.
+    def test_path_inverse_past_the_upper_bound(self, monkeypatch):
+        params = ThresholdParams(3, 1, 3)
+        monkeypatch.setattr(paths, "sequence_of_path", lambda path, l:
+                            threshold.ThresholdSequence(params, (3, 6, 11)))
+        report = verify.check_bijections(3, 1, 3)
+        assert {(c.params["check"], c.observed) for c in report.failures
+                if "seq" in c.params} == {(
+                    "map-raised", "BoundViolationError: value 11 at index 3 "
+                    "violates threshold bounds")}
+        assert [(c.params["check"], c.expected, c.observed)
+                for c in report.failures if "seq" not in c.params] == [
+            ("path-surjective", 0, 60)]
+        json.dumps(report.to_json())
+
+    # A passing cell walks the sequences once; only a failing half walks
+    # them again.
+    def test_passing_cell_enumerates_once(self, monkeypatch):
+        original, calls = threshold.enumerate_sequences, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(threshold, "enumerate_sequences", counted)
+        assert verify.check_bijections(3, 1, 3).passed
+        assert len(calls) == 1
+
+    # A cell past the budget raises before the rank table is built or any
+    # sequence is enumerated.
+    def test_budget_checked_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "_ranker", calls.append)
+        monkeypatch.setattr(threshold, "enumerate_sequences", calls.append)
+        budget = exactmath.raney(3, 2, 3) - 1
+        with pytest.raises(BudgetExceededError):
+            verify.check_bijections(3, 1, 3, budget=budget)
+        assert calls == []
+
     def test_more_offenders_than_named(self, monkeypatch):
         original = paths.enumerate_paths
         firsts = []
@@ -531,71 +604,39 @@ class TestBijectionSuite:
         assert report.failures[0].params["unmatched_objects"] == firsts
 
 
-class TestTupleKey:
+class TestRanker:
     @staticmethod
-    def tuple_of_words(k, *words):
-        return trees.TreeTuple(k, tuple(trees.KaryTree._of(k, word)
-                                        for word in words))
+    def cells(n):
+        return [ThresholdParams(k, l, n) for k in range(2, 7)
+                for l in range(k - 1)]
 
-    @pytest.mark.parametrize("k,l,n", [(3, 1, 4), (2, 0, 6), (4, 0, 4), (5, 3, 3)])
-    def test_decodes_every_tuple_of_a_cell(self, k, l, n):
-        tuples = list(trees.enumerate_tuples(k, l + 1, n))
-        keys = [verify._tuple_key(t) for t in tuples]
-        assert len(set(keys)) == len(keys) == exactmath.raney(k, l + 1, n)
-        for t, key in zip(tuples, keys):
-            assert verify._tuple_of_key(k, key) == t
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_total_is_the_raney_number(self, n):
+        for params in self.cells(n):
+            total, _ = verify._ranker(params)
+            assert total == exactmath.raney(params.k, params.l + 1, n)
 
-    # Words of bytes 0 and 1 that join to the same bytes but split
-    # differently, or that differ by a leading or trailing 0
-    @pytest.mark.parametrize("words,other", [
-        ((b"\x00\x01\x00", b"\x01\x00\x00"), (b"\x00", b"\x01\x00\x01\x00\x00")),
-        ((b"\x01\x00\x00",), (b"\x01\x00\x00\x00",)),
-        ((b"\x01\x00\x00", b"\x00"), (b"\x01\x00\x00\x00",)),
-        ((b"\x01",), (b"\x00\x01",))])
-    def test_exact_on_words_of_0_and_1(self, words, other):
-        t, u = self.tuple_of_words(2, *words), self.tuple_of_words(2, *other)
-        assert verify._tuple_key(t) != verify._tuple_key(u)
-        for each in (t, u):
-            assert verify._tuple_of_key(2, verify._tuple_key(each)) == each
+    # The lowest sequence, s_i = k*i, and the highest, which ends at the
+    # upper bound and rises by one, rank first and last.
+    def test_ends_at_n_300(self):
+        for params in self.cells(300):
+            total, rank = verify._ranker(params)
+            assert total == exactmath.raney(params.k, params.l + 1, 300)
+            assert rank(tuple(params.lowers)) == 0
+            highest = range(params.upper - 299, params.upper + 1)
+            assert rank(tuple(highest)) == total - 1
 
-    def test_any_other_byte_still_has_a_key(self):
-        t = self.tuple_of_words(2, b"\x01\x05\xff", b"\x02")
-        assert isinstance(verify._tuple_key(t), int)
+    @pytest.mark.parametrize("k,l,n", [(4, 2, 4), (2, 0, 8)])
+    def test_rank_is_the_enumeration_index(self, k, l, n):
+        params = ThresholdParams(k, l, n)
+        _, rank = verify._ranker(params)
+        for index, seq in enumerate(threshold.enumerate_sequences(params)):
+            assert rank(seq.values) == index
 
-    # A byte 2 in a word is not a separator, and other bytes stay apart.
-    def test_exact_on_any_word_bytes(self):
-        tuples = [self.tuple_of_words(2, b"\x01\x05\x00"),
-                  self.tuple_of_words(2, b"\x01\x02\x00"),
-                  self.tuple_of_words(2, b"\x01", b"\x00"),
-                  self.tuple_of_words(2, b"", b"\x01\x00\xff", b"")]
-        keys = [verify._tuple_key(t) for t in tuples]
-        assert len(set(keys)) == len(keys)
-        for t, key in zip(tuples, keys):
-            assert verify._tuple_of_key(2, key) == t
-
-    # A tuple of trees costs two bits per node and per separator, past the
-    # leading 1: its words are their own digits.
-    @pytest.mark.parametrize("k,r,n", [(2, 1, 6), (3, 2, 4), (5, 4, 3)])
-    def test_two_bits_per_node(self, k, r, n):
-        for t in trees.enumerate_tuples(k, r, n):
-            digits = sum(tree.node_count for tree in t.trees) + r - 1
-            assert verify._tuple_key(t).bit_length() == 2 * digits + 1
-
-    # One tree of k + 1 letters: a key of 4301 digits, one past the cap
-    # on int-from-string conversion in a base that is not a power of two.
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                        reason="no cap on int-to-str digits before 3.10.7")
-    def test_key_longer_than_the_int_from_str_cap(self):
-        cap = sys.int_info.default_max_str_digits
-        k = cap - 1
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(cap)
-        try:
-            t, = trees.enumerate_tuples(k, 1, 1)
-            assert verify._tuple_of_key(k, verify._tuple_key(t)) == t
-            assert verify.check_bijections(k, 0, 1).passed
-        finally:
-            sys.set_int_max_str_digits(saved)
+    # A table 4301 entries wide, one past the cap on int-from-string
+    # conversion, which the suite never meets.
+    def test_wide_table(self):
+        assert verify.check_bijections(4299, 0, 1).passed
 
 
 class TestTreeWord:
