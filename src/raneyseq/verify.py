@@ -14,7 +14,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations
 
 from . import ballot, exactmath, paths, threshold, trees
 from .errors import BudgetExceededError, RaneyseqError
@@ -306,9 +306,10 @@ def _half(report: VerifyReport, params: ThresholdParams, budget: int,
             pass
         unmatched.add(obj)
     repeated, unmet, held = _Offenders(), _Offenders(), {}
-    unreached = compress(threshold.enumerate_sequences(params, budget=budget),
-                         map(operator.not_, met)) if 0 in met else ()
-    for seq in unreached:
+    for seq in (threshold.enumerate_sequences(params, budget=budget)
+                if 0 in met else ()):
+        if met[rank(seq.values)]:
+            continue
         try:
             image = forward(seq)
         except RaneyseqError as exc:

@@ -266,6 +266,22 @@ def test_large_n_fails_in_one_line(argv):
     assert "Traceback" not in proc.stderr
 
 
+# verify checks the budget before it enumerates, so only a budget above
+# the cell's count lets it reach the recursion limit, which still ends in
+# one line.
+def test_verify_past_the_recursion_limit():
+    src = os.path.dirname(os.path.dirname(raneyseq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    budget = str(raney(2, 1, 1000) + 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "raneyseq.cli", "verify", "--k", "2",
+         "--n", "1000", "--budget", budget],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: n is too large for the recursive enumerator\n")
+
+
 class TestMap:
     def test_seq_to_path_example7(self, capsys):
         code, out = run(capsys, "map", "seq-to-path", "--k", "5", "--l", "3",

@@ -547,6 +547,31 @@ class TestBijectionSuite:
             ({"check": "seq-rank", "seq": values[15]}, 14, 15),
             ({"check": "seq-rank", "seq": values[14]}, 15, 14)]
 
+    # With the same two sequences swapped and the path of the first
+    # dropped, the walk of the unreached sequences goes by rank, not by
+    # position, and names the dropped path.
+    def test_swapped_sequences_and_a_dropped_path(self, monkeypatch):
+        original = threshold.enumerate_sequences
+        values = self.sequences_3_1_3()
+        dropped = paths.path_of(threshold.validate(
+            values[14], ThresholdParams(3, 1, 3)))
+
+        def swapped(*args, **kwargs):
+            found = list(original(*args, **kwargs))
+            found[14:16] = found[15:13:-1]
+            return iter(found)
+        codomain = [p for p in paths.enumerate_paths(3, 1, 3) if p != dropped]
+        monkeypatch.setattr(threshold, "enumerate_sequences", swapped)
+        monkeypatch.setattr(paths, "enumerate_paths",
+                            lambda *args, **kwargs: iter(codomain))
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params["check"], c.expected, c.observed)
+                for c in report.failures] == [
+            ("seq-rank", 14, 15), ("seq-rank", 15, 14),
+            ("path-surjective", 0, 1)]
+        assert report.failures[-1].params["unmet_images"] == [
+            dropped.to_json()]
+
     # A path inverse past the upper bound, built without validate: every
     # path is unmatched, and each round trip raises as a failing cell.
     def test_path_inverse_past_the_upper_bound(self, monkeypatch):
