@@ -219,5 +219,6 @@ def count_proper(params: ThresholdParams) -> int:
 
 def shift(seq: ThresholdSequence, d: int) -> ThresholdSequence:
     """Translate all values and the offset by d (count-preserving)."""
+    replace(seq.params, d=d)  # checks d itself, not only the new offset
     params = replace(seq.params, d=seq.d + d)
     return ThresholdSequence(params, tuple(v + d for v in seq.values))

@@ -14,10 +14,10 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 from . import ballot, exactmath, paths, threshold, trees
-from .errors import BudgetExceededError, RaneyseqError
+from .errors import BudgetExceededError, InvalidParameterError, RaneyseqError
 from .exactmath import binomial, catalan, raney
 from .threshold import ThresholdParams
 
@@ -213,6 +213,8 @@ def check_prop6(n_max: int) -> VerifyReport:
 def check_raney_difference(k: int, l: int, n_max: int) -> VerifyReport:
     """R_n^(k,l+1) - R_n^(k,l) = R_{n-1}^(k,k+l) for 1 <= l <= k-2."""
     ThresholdParams(k, l, n_max)  # checks k, l and n_max as for sequences
+    if l < 1:
+        raise InvalidParameterError("check_raney_difference requires l >= 1")
     with VerifyReport("raney-difference") as report:
         for n in range(1, n_max + 1):
             report.add({"k": k, "l": l, "n": n},
@@ -274,22 +276,33 @@ def _ranker(params: ThresholdParams):
     return above[0][1], rank
 
 
-def _map_raised(report: VerifyReport, seq, exc: RaneyseqError) -> None:
-    """A map that raised on a valid sequence, as a failing cell."""
-    report.add({"check": "map-raised", "seq": list(seq.values)},
-               "no error", f"{type(exc).__name__}: {exc}")
+def _seq_cell(report: VerifyReport, check: str, seq, expected, observed):
+    """A cell of check naming seq, with an error written as type: message."""
+    if isinstance(observed, RaneyseqError):
+        observed = f"{type(observed).__name__}: {observed}"
+    report.add({"check": check, "seq": list(seq.values)}, expected, observed)
+
+
+def _sequences(params: ThresholdParams, budget: int, report=None):
+    """The enumerated sequences that pass validate; each other fails
+    seq-valid in report, if one is given."""
+    for seq in threshold.enumerate_sequences(params, budget=budget):
+        try:
+            yield threshold.validate(seq.values, params)
+        except RaneyseqError as exc:
+            if report is not None:
+                _seq_cell(report, "seq-valid", seq, "no error", exc)
 
 
 def _half(report: VerifyReport, params: ThresholdParams, budget: int,
-          ranker, name: str, codomain, forward, inverse) -> tuple:
+          total: int, rank, name: str, codomain, forward, inverse) -> tuple:
     """Check forward and inverse as inverse bijections from the codomain.
     An object x whose inverse s is a valid sequence, not marked yet, with
     forward(s) == x marks the flag byte of s's rank.  If every byte is
     marked, inverse is one-to-one and onto and forward is its inverse;
-    else the unmarked sequences are walked again.  Returns the number of
-    distinct images and, as _Offenders, the repeated images, the objects
-    that mark nothing and the images that no object meets."""
-    total, rank = ranker
+    else the unmarked sequences of the cell are walked again.  Returns the
+    number of distinct images and, as _Offenders, the repeated images, the
+    objects that mark nothing and the images that no object meets."""
 
     def back(obj):
         return threshold.validate(inverse(obj).values, params)
@@ -306,24 +319,22 @@ def _half(report: VerifyReport, params: ThresholdParams, budget: int,
             pass
         unmatched.add(obj)
     repeated, unmet, held = _Offenders(), _Offenders(), {}
-    for seq in (threshold.enumerate_sequences(params, budget=budget)
-                if 0 in met else ()):
+    for seq in _sequences(params, budget) if 0 in met else ():
         if met[rank(seq.values)]:
             continue
         try:
             image = forward(seq)
         except RaneyseqError as exc:
-            _map_raised(report, seq, exc)
+            _seq_cell(report, "map-raised", seq, "no error", exc)
             continue
         try:
             other = back(image)
             if other.values != seq.values:
-                report.add({"check": f"{name}-roundtrip",
-                            "seq": list(seq.values)},
-                           list(seq.values), list(other.values))
+                _seq_cell(report, f"{name}-roundtrip", seq,
+                          list(seq.values), list(other.values))
             home = forward(other) == image
         except RaneyseqError as exc:
-            _map_raised(report, seq, exc)
+            _seq_cell(report, "map-raised", seq, "no error", exc)
             home = False
         # An image that comes home to seq is seq's alone, and is not held.
         # Any other is held, one sighting ahead if it comes home to another
@@ -342,10 +353,10 @@ def _half(report: VerifyReport, params: ThresholdParams, budget: int,
 def check_bijections(k: int, l: int, n: int,
                      budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Round-trip, injectivity and surjectivity checks for tuple_of,
-    path_of and the ballot encoding over the fully enumerated (k, l, n)
-    cell: the first two by _half, and the ballot word and each sequence's
-    rank in the sequence loop, which goes on past a map that raises.  On a
-    failure the offending object is recorded verbatim in the cell."""
+    path_of and the ballot encoding over the (k, l, n) cell.  Each sequence
+    enumerated must pass validate; the sequence loop checks its rank and its
+    ballot word, going on past a map that raises, and _half the other two
+    maps.  On a failure the offending object is recorded verbatim."""
     with VerifyReport("bijections") as report:
         params = ThresholdParams(k, l, n)
         params.require_n("enumeration")
@@ -353,30 +364,27 @@ def check_bijections(k: int, l: int, n: int,
             raise BudgetExceededError(budget)
         _, rank = ranker = _ranker(params)
         count = 0
-        for seq in threshold.enumerate_sequences(params, budget=budget):
+        for seq in _sequences(params, budget, report):
             if rank(seq.values) != count:
-                report.add({"check": "seq-rank", "seq": list(seq.values)},
-                           count, rank(seq.values))
+                _seq_cell(report, "seq-rank", seq, count, rank(seq.values))
             count += 1
             try:
                 w = ballot.to_ballot(seq)
                 back = ballot.from_ballot(w, k, l).values
                 if back != seq.values:
-                    report.add({"check": "ballot-roundtrip",
-                                "seq": list(seq.values)},
-                               list(seq.values), list(back))
+                    _seq_cell(report, "ballot-roundtrip", seq,
+                              list(seq.values), list(back))
                 if not ballot.is_k_ballot_isolated(w, k):
-                    report.add({"check": "ballot-isolated",
-                                "seq": list(seq.values)}, True, False)
+                    _seq_cell(report, "ballot-isolated", seq, True, False)
             except RaneyseqError as exc:
-                _map_raised(report, seq, exc)
+                _seq_cell(report, "map-raised", seq, "no error", exc)
         halves = [
             ("tuple", _tuple_json, _half(
-                report, params, budget, ranker, "tuple",
+                report, params, budget, *ranker, "tuple",
                 trees.enumerate_tuples(k, l + 1, n, budget=budget),
                 trees.tuple_of, lambda t: trees.sequence_of_tuple(t, n))),
             ("path", operator.methodcaller("to_json"), _half(
-                report, params, budget, ranker, "path",
+                report, params, budget, *ranker, "path",
                 paths.enumerate_paths(k, l, n, budget=budget),
                 paths.path_of, lambda p: paths.sequence_of_path(p, l)))]
         if not report.cells:
@@ -408,23 +416,18 @@ def check_ballot_claim() -> VerifyReport:
     """
     with VerifyReport("ballot-claim") as report:
         for k in (2, 3):
-            for l in range(k - 1):
-                for n in range(1, 7):
-                    a, b = k * n + l + 1, n
-                    target = raney(k, a - k * b, b)
-                    params = ThresholdParams(k, l, n)
-                    seqs = list(threshold.enumerate_sequences(params))
-                    words = [ballot.to_ballot(seq) for seq in seqs]
-                    exact_a = sum(1 for w in words if w.a_count == a)
-                    report.add({"k": k, "l": l, "n": n, "a": a, "b": b,
-                                "reading": "all-sequences"},
-                               target, len(words))
-                    report.add({"k": k, "l": l, "n": n, "a": a, "b": b,
-                                "reading": "exact-a-words",
-                                "note": "matches proper count, not the claim"
-                                        if l >= 1 else "l=0: all proper"},
-                               raney(k, k + l, n - 1) if l >= 1 else target,
-                               exact_a)
+            for l, n in product(range(k - 1), range(1, 7)):
+                a, b = k * n + l + 1, n
+                target = raney(k, a - k * b, b)
+                words = [ballot.to_ballot(seq) for seq in
+                         threshold.enumerate_sequences(ThresholdParams(k, l, n))]
+                cell = {"k": k, "l": l, "n": n, "a": a, "b": b}
+                report.add(cell | {"reading": "all-sequences"}, target, len(words))
+                report.add(cell | {"reading": "exact-a-words",
+                                   "note": "matches proper count, not the claim"
+                                           if l >= 1 else "l=0: all proper"},
+                           raney(k, k + l, n - 1) if l >= 1 else target,
+                           sum(w.a_count == a for w in words))
     return report
 
 

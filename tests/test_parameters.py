@@ -18,7 +18,7 @@ WORD = ballot.to_ballot(SEQ)
 TUPLE = trees.tuple_of(SEQ)
 GOOD = {"k": 3, "l": 1, "n": 2, "r": 2, "d": 0, "w": 3}
 BAD = {"k": [1, 2.0, True, "3"], "n": [-1, 1.0], "r": [0, 1.0],
-       "l": [True, 0.0], "d": [0.5], "w": [3.0, True, 2.5]}
+       "l": [True, 0.0], "d": [0.5, True], "w": [3.0, True, 2.5]}
 
 # Each entry point, called with the parameters its lambda names.
 ENTRY_POINTS = {

@@ -149,6 +149,13 @@ class TestIdentitySuites:
             for l in range(1, k - 1):
                 assert verify.check_raney_difference(k, l, 15).passed
 
+    # l = 0 passes ThresholdParams, but the identity needs 1 <= l <= k-2.
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_raney_difference_rejects_l_0(self, k):
+        with pytest.raises(InvalidParameterError,
+                           match="^check_raney_difference requires l >= 1$"):
+            verify.check_raney_difference(k, 0, 5)
+
     def test_depth_zero_does_not_pass(self):
         # the suites start at n = 1, so depth 0 compares nothing
         report = verify.check_prop4(0)
@@ -573,6 +580,35 @@ class TestBijectionSuite:
         assert [(c.params["check"], c.expected, c.observed)
                 for c in report.failures if "seq" not in c.params] == [
             ("path-surjective", 0, 60)]
+        json.dumps(report.to_json())
+
+    # The enumerator yields one more sequence, the last raised by 50, which
+    # no rank, map or ballot word may see: it fails seq-valid once, and the
+    # rest of the report is the report without it, also when a broken path
+    # inverse makes the path half walk the sequences again.
+    @pytest.mark.parametrize("walk", [False, True], ids=["loop", "walk"])
+    def test_sequence_outside_the_cell_fails_seq_valid(self, monkeypatch,
+                                                        walk):
+        if walk:
+            lowest = threshold.validate((3, 6, 9), ThresholdParams(3, 1, 3))
+            monkeypatch.setattr(paths, "sequence_of_path",
+                                lambda path, l: lowest)
+        rest = [(c.params, c.expected, c.observed)
+                for c in verify.check_bijections(3, 1, 3).failures]
+        assert bool(rest) == walk
+        original = threshold.enumerate_sequences
+        outside = tuple(v + 50 for v in self.sequences_3_1_3()[-1])
+
+        def appended(params, budget=None):
+            yield from original(params, budget=budget)
+            yield threshold.ThresholdSequence(params, outside)
+        monkeypatch.setattr(threshold, "enumerate_sequences", appended)
+        report = verify.check_bijections(3, 1, 3)
+        assert [(c.params, c.expected, c.observed)
+                for c in report.failures] == [
+            ({"check": "seq-valid", "seq": [58, 59, 60]}, "no error",
+             "BoundViolationError: value 58 at index 1 violates threshold "
+             "bounds")] + rest
         json.dumps(report.to_json())
 
     # A passing cell walks the sequences once; only a failing half walks
