@@ -28,6 +28,14 @@ class BallotWord:
                 and letters.count("A") + letters.count("B") == len(letters)):
             raise InvalidParameterError("letters must be a str over {A, B}")
 
+    @classmethod
+    def _of(cls, k: int, letters: str) -> BallotWord:
+        """The word of these letters, k and letters already valid."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "k", k)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     @property
     def a_count(self) -> int:
         return self.letters.count("A")
@@ -45,7 +53,7 @@ def to_ballot(seq: ThresholdSequence) -> BallotWord:
     letters = bytearray(b"A") * (values[-1] + len(values) + 1)
     for i, v in enumerate(values, start=1):
         letters[v + i] = 66  # ord("B")
-    return BallotWord(seq.k, letters.decode())
+    return BallotWord._of(seq.k, letters.decode())
 
 
 def from_ballot(word: BallotWord, k: int, l: int) -> ThresholdSequence:

@@ -24,8 +24,10 @@ def _json(obj) -> str:
 # default of `map`) and how one object is written in each.  Lambdas look
 # the library up at call time, so a traced run sees each layer call.
 WRITERS = {
-    "seq": {"json": _json, "csv": lambda seq: ",".join(map(str, seq.values))},
-    "path": {"json": _json, "csv": lambda path: ",".join(map(str, path.rises)),
+    "seq": {"json": lambda seq: seq.json_text(),
+            "csv": lambda seq: ",".join(map(str, seq.values))},
+    "path": {"json": lambda path: path.json_text(),
+             "csv": lambda path: ",".join(map(str, path.rises)),
              "ascii": lambda path: paths.render_ascii(path)},
     "tree": {"json": lambda tree: tree.json_text(),
              "dot": lambda tree: trees.to_dot(tree)},

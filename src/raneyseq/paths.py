@@ -29,6 +29,7 @@ class ExtMotzkinPath:
         check_knr(self.k)
         if not isinstance(self.rises, tuple):
             raise InvalidParameterError(f"rises must be a tuple, got {self.rises!r}")
+        int_entries(self.rises, "rise")
         if not self.rises or (min(self.rises) > -self.k
                               and min(accumulate(self.rises)) >= 0):
             return  # valid; otherwise the loop names the first bad step
@@ -41,6 +42,14 @@ class ExtMotzkinPath:
             if height < 0:
                 raise InvalidParameterError(
                     f"path goes below the x-axis after step {i}")
+
+    @classmethod
+    def _of(cls, k: int, rises: tuple[int, ...]) -> ExtMotzkinPath:
+        """The path of these rises, k and rises already valid."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "k", k)
+        object.__setattr__(path, "rises", rises)
+        return path
 
     @property
     def n(self) -> int:
@@ -58,10 +67,18 @@ class ExtMotzkinPath:
     def to_json(self) -> dict:
         return {"k": self.k, "rises": list(self.rises)}
 
+    def json_text(self) -> str:
+        """The text json.dumps(self.to_json()) writes."""
+        return '{"k": %d, "rises": [%s]}' % (
+            self.k, ", ".join(map(str, self.rises)))
+
     @classmethod
     def from_json(cls, data: dict | str) -> "ExtMotzkinPath":
         data = json_object(data, "k", "rises")
-        return cls(data["k"], int_entries(data["rises"], "rise"))
+        rises = data["rises"]  # the constructor checks each rise
+        if not isinstance(rises, (list, tuple)):
+            raise InvalidParameterError(f"rises must be a list, got {rises!r}")
+        return cls(data["k"], tuple(rises))
 
 
 def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
@@ -72,7 +89,7 @@ def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
     for v in unshifted(seq, "path_of"):
         rises.append(v - prev - k)
         prev = v
-    return ExtMotzkinPath(k, tuple(rises))
+    return ExtMotzkinPath._of(k, tuple(rises))
 
 
 def sequence_of_path(path: ExtMotzkinPath, l: int) -> ThresholdSequence:
@@ -98,7 +115,7 @@ def enumerate_paths(k: int, l: int, n: int,
 
     def extend(i: int, height: int) -> Iterator[ExtMotzkinPath]:
         if i > n:
-            yield ExtMotzkinPath(k, tuple(rises))
+            yield ExtMotzkinPath._of(k, tuple(rises))
             return
         low = -min(k - 1, height)
         high = l + (n - i) * (k - 1) - height

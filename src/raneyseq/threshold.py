@@ -32,11 +32,14 @@ class ThresholdParams:
 
     def __post_init__(self) -> None:
         exactmath.check_knr(self.k, self.n)
-        if not (type(self.l) is type(self.d) is int and 0 <= self.l <= self.k - 2):
-            # l = k-1 would merely re-encode length-(n+1) prefixes; reject it
-            # so the count contracts stay honest.
-            raise InvalidParameterError("l must satisfy 0 <= l <= k-2, and l and d "
-                                        f"must be ints; got l={self.l!r}, d={self.d!r}")
+        if type(self.l) is type(self.d) is int and 0 <= self.l <= self.k - 2:
+            return
+        for name, value in (("l", self.l), ("d", self.d)):
+            if type(value) is not int:
+                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
+        # l = k-1 would merely re-encode length-(n+1) prefixes; reject it so
+        # the count contracts stay honest.
+        raise InvalidParameterError(f"l must satisfy 0 <= l <= k-2, got l={self.l}")
 
     def require_n(self, name: str) -> None:
         """Raise InvalidParameterError unless n >= 1, as name requires."""
@@ -78,6 +81,12 @@ class ThresholdSequence:
     def to_json(self) -> dict:
         return {"k": self.k, "l": self.l, "n": self.n, "d": self.d,
                 "values": list(self.values)}
+
+    def json_text(self) -> str:
+        """The text json.dumps(self.to_json()) writes, for int values."""
+        p = self.params
+        return '{"k": %d, "l": %d, "n": %d, "d": %d, "values": [%s]}' % (
+            p.k, p.l, p.n, p.d, ", ".join(map(str, self.values)))
 
     @classmethod
     def from_json(cls, data: dict | str) -> "ThresholdSequence":

@@ -151,6 +151,14 @@ class TreeTuple:
         check_knr(self.k)
         _check_arity(self.k, self.trees, "tuple entry")
 
+    @classmethod
+    def _of(cls, k: int, trees: tuple[KaryTree, ...]) -> TreeTuple:
+        """The tuple of these trees, k and trees already valid."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "k", k)
+        object.__setattr__(t, "trees", trees)
+        return t
+
     @property
     def r(self) -> int:
         return len(self.trees)
@@ -266,7 +274,7 @@ def tuple_of(seq: ThresholdSequence) -> TreeTuple:
         entries[level] = KaryTree._of(k, bytes(word))
         prev_level = level
         values = values[:cut]
-    return TreeTuple(k, tuple(entries))
+    return TreeTuple._of(k, tuple(entries))
 
 
 def forest_of(seq: ThresholdSequence) -> list[KaryTree]:
@@ -369,7 +377,7 @@ def _iter_tuples(k: int, r: int, n: int) -> Iterator[TreeTuple]:
             smaller = smaller or [list(_trees(k, _tree_words(k, m)))
                                   for m in range(n)]
             tuples = itertools.product(*(smaller[c] for c in comp))
-        yield from map(TreeTuple, itertools.repeat(k), tuples)
+        yield from map(TreeTuple._of, itertools.repeat(k), tuples)
 
 
 def enumerate_tuples(k: int, r: int, n: int,

@@ -87,6 +87,16 @@ class TestFromBallot:
             assert ballot.from_ballot(ballot.to_ballot(s), k, l) == s
 
 
+class TestTrustedWords:
+    @pytest.mark.parametrize("k,l,n", [(2, 0, 7), (3, 1, 5), (5, 3, 4)])
+    def test_mapped_words_are_public_words(self, k, l, n):
+        # to_ballot builds its word without the public checks
+        for s in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            word = ballot.to_ballot(s)
+            public = BallotWord(word.k, word.letters)
+            assert word == public and hash(word) == hash(public)
+
+
 class TestIsKBallotIsolated:
     def test_encoded_word_passes(self):
         word = ballot.to_ballot(seq((3, 6), 3, 0))

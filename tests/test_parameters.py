@@ -3,6 +3,7 @@ the wrong type or range with InvalidParameterError naming the parameter;
 each constructor and reader also rejects a container of the wrong type."""
 
 import inspect
+import re
 
 import pytest
 
@@ -100,3 +101,14 @@ BAD_CONTAINERS = {
 def test_container_of_the_wrong_type_rejected(build):
     with pytest.raises(InvalidParameterError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda d: ThresholdParams(3, 1, 2, d), id="ThresholdParams"),
+    pytest.param(lambda d: threshold.shift(SEQ, d), id="shift")])
+@pytest.mark.parametrize("d", BAD["d"])
+def test_bad_d_named_alone(build, d):
+    # the caller's l is good, so no rule of l may be stated
+    with pytest.raises(InvalidParameterError) as exc:
+        build(d)
+    assert not re.search(r"\bl\b", str(exc.value))

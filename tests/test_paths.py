@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from raneyseq import exactmath, paths, threshold
@@ -11,6 +13,8 @@ from raneyseq.threshold import ThresholdParams
 
 EX7_SEQ = (7, 15, 16, 21, 28, 30, 38)
 EX7_RISES = (2, 3, -4, 0, 2, -3, 3)
+# Cells whose every path is built by the enumerator and by path_of.
+TRUSTED_CELLS = [(2, 0, 7), (3, 1, 5), (5, 3, 4)]
 
 
 def seq(values, k, l):
@@ -45,6 +49,14 @@ class TestPathType:
     def test_json_round_trip(self):
         path = ExtMotzkinPath(5, EX7_RISES)
         assert ExtMotzkinPath.from_json(path.to_json()) == path
+
+    @pytest.mark.parametrize("rises,bad", [
+        ((1.5,), "rise 1.5 at index 1"),
+        ((True,), "rise True at index 1"),
+        ((1, 0.0), "rise 0.0 at index 2")])
+    def test_rises_that_are_not_ints_rejected(self, rises, bad):
+        with pytest.raises(InvalidParameterError, match=f"^{bad} is not an integer$"):
+            ExtMotzkinPath(3, rises)
 
     @pytest.mark.parametrize("rises,bad", [
         ("[0.5, -0.5]", "rise 0.5 at index 1"),
@@ -184,6 +196,41 @@ class TestRender:
         assert len(lines) == 6  # heights 0..5
         assert all(len(line) == 8 for line in lines)
         assert sum(line.count("*") for line in lines) == 8
+
+
+class TestTrustedPaths:
+    """The paths that enumerate_paths and path_of build without the public
+    checks are the public constructor's, and write json.dumps's text."""
+
+    @staticmethod
+    def assert_public(path):
+        public = ExtMotzkinPath(path.k, path.rises)
+        assert path == public and hash(path) == hash(public)
+
+    @pytest.mark.parametrize("k,l,n", TRUSTED_CELLS)
+    def test_enumerated_paths(self, k, l, n):
+        for path in paths.enumerate_paths(k, l, n):
+            self.assert_public(path)
+
+    @pytest.mark.parametrize("k,l,n", TRUSTED_CELLS)
+    def test_mapped_paths(self, k, l, n):
+        for s in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            self.assert_public(paths.path_of(s))
+
+    @pytest.mark.parametrize("k,l,n", TRUSTED_CELLS + [(2, 0, 1), (3, 1, 1),
+                                                      (5, 3, 1)])
+    def test_json_text_is_json_dumps(self, k, l, n):
+        for path in paths.enumerate_paths(k, l, n):
+            assert path.json_text() == json.dumps(path.to_json())
+
+    @pytest.mark.parametrize("values", [tuple(range(3, 6001, 3)),
+                                        tuple(range(4002, 6002))],
+                             ids=["lowest", "highest"])
+    def test_json_text_at_n_2000(self, values):
+        # the paths of the lowest and the highest sequence at (3, 1, 2000)
+        path = paths.path_of(seq(values, 3, 1))
+        self.assert_public(path)
+        assert path.json_text() == json.dumps(path.to_json())
 
 
 @pytest.mark.parametrize("k,l,n", [(k, l, n) for k in (2, 3, 4)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from raneyseq import exactmath, threshold
@@ -131,6 +133,20 @@ class TestValidate:
     def test_json_that_is_not_a_sequence_object(self, text, message):
         with pytest.raises(InvalidParameterError, match=message):
             threshold.ThresholdSequence.from_json(text)
+
+    @pytest.mark.parametrize("k,l,n,d", [
+        (2, 0, 7, 0), (3, 1, 5, 0), (5, 3, 4, 0), (3, 1, 5, -4), (3, 1, 5, 3),
+        (2, 0, 1, 0), (3, 1, 1, -4), (5, 3, 1, 3)])
+    def test_json_text_is_json_dumps(self, k, l, n, d):
+        for seq in threshold.enumerate_sequences(ThresholdParams(k, l, n, d)):
+            assert seq.json_text() == json.dumps(seq.to_json())
+
+    @pytest.mark.parametrize("values", [tuple(range(3, 6001, 3)),
+                                        tuple(range(4002, 6002))],
+                             ids=["lowest", "highest"])
+    def test_json_text_at_n_2000(self, values):
+        seq = threshold.validate(values, ThresholdParams(3, 1, 2000))
+        assert seq.json_text() == json.dumps(seq.to_json())
 
     def test_json_offset_defaults_to_zero(self):
         seq = threshold.ThresholdSequence.from_json(

@@ -388,6 +388,28 @@ class TestBijectionGrid:
                 assert images == codomain
 
 
+class TestTrustedTuples:
+    """The tuples that enumerate_tuples and tuple_of build without the
+    public checks are the public constructor's."""
+
+    CELLS = [(2, 0, 7), (3, 1, 5), (5, 3, 4)]
+
+    @staticmethod
+    def assert_public(t):
+        public = TreeTuple(t.k, t.trees)
+        assert t == public and hash(t) == hash(public)
+
+    @pytest.mark.parametrize("k,l,n", CELLS)
+    def test_enumerated_tuples(self, k, l, n):
+        for t in trees.enumerate_tuples(k, l + 1, n):
+            self.assert_public(t)
+
+    @pytest.mark.parametrize("k,l,n", CELLS)
+    def test_mapped_tuples(self, k, l, n):
+        for s in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            self.assert_public(trees.tuple_of(s))
+
+
 class TestDepth:
     """Trees as deep as the sequence is long; the lowest sequence of each
     cell gives a path of n internal nodes."""
