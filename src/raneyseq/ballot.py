@@ -13,9 +13,11 @@ from itertools import accumulate, count
 
 from .errors import InvalidParameterError, MalformedWordError
 from .exactmath import check_knr
-from .threshold import ThresholdParams, ThresholdSequence, unshifted, validate
+from .threshold import (
+    ThresholdParams, ThresholdSequence, trusted, unshifted, validate)
 
 
+@trusted
 @dataclass(frozen=True, slots=True)
 class BallotWord:
     k: int
@@ -27,14 +29,6 @@ class BallotWord:
         if not (isinstance(letters, str)
                 and letters.count("A") + letters.count("B") == len(letters)):
             raise InvalidParameterError("letters must be a str over {A, B}")
-
-    @classmethod
-    def _of(cls, k: int, letters: str) -> BallotWord:
-        """The word of these letters, k and letters already valid."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "k", k)
-        object.__setattr__(word, "letters", letters)
-        return word
 
     @property
     def a_count(self) -> int:

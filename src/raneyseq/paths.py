@@ -17,9 +17,11 @@ from typing import Iterator
 from .errors import HeightExceedsLimitError, InvalidParameterError
 from .exactmath import check_knr
 from .threshold import (
-    ThresholdParams, ThresholdSequence, capped, int_entries, json_object, unshifted)
+    ThresholdParams, ThresholdSequence, capped, int_entries, json_object,
+    trusted, unshifted)
 
 
+@trusted
 @dataclass(frozen=True, slots=True)
 class ExtMotzkinPath:
     k: int
@@ -30,9 +32,6 @@ class ExtMotzkinPath:
         if not isinstance(self.rises, tuple):
             raise InvalidParameterError(f"rises must be a tuple, got {self.rises!r}")
         int_entries(self.rises, "rise")
-        if not self.rises or (min(self.rises) > -self.k
-                              and min(accumulate(self.rises)) >= 0):
-            return  # valid; otherwise the loop names the first bad step
         height = 0
         for i, rise in enumerate(self.rises, start=1):
             if rise < -(self.k - 1):
@@ -42,14 +41,6 @@ class ExtMotzkinPath:
             if height < 0:
                 raise InvalidParameterError(
                     f"path goes below the x-axis after step {i}")
-
-    @classmethod
-    def _of(cls, k: int, rises: tuple[int, ...]) -> ExtMotzkinPath:
-        """The path of these rises, k and rises already valid."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "k", k)
-        object.__setattr__(path, "rises", rises)
-        return path
 
     @property
     def n(self) -> int:
@@ -94,12 +85,12 @@ def path_of(seq: ThresholdSequence) -> ExtMotzkinPath:
 
 def sequence_of_path(path: ExtMotzkinPath, l: int) -> ThresholdSequence:
     """Inverse of path_of: s_i = y_i + i*k.  The path's checks and the end
-    height are validate's three predicates on s, so none runs twice."""
+    height are the sequence's three predicates on s, so none runs twice."""
     params = ThresholdParams(path.k, l, path.n)
     if path.end_height > l:
         raise HeightExceedsLimitError(path.end_height, l)
     values = map(add, accumulate(path.rises), params.lowers)
-    return ThresholdSequence(params, tuple(values))
+    return ThresholdSequence._of(params, tuple(values))
 
 
 def enumerate_paths(k: int, l: int, n: int,

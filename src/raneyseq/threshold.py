@@ -57,10 +57,52 @@ class ThresholdParams:
         return self.k * self.n + self.l + self.d
 
 
+def trusted(cls: type) -> type:
+    """Give cls, a class of two slots, the constructor _of(first, second)
+    for valid values: it sets the slots through their descriptors, unchecked."""
+    set_first, set_second = (getattr(cls, n).__set__ for n in cls.__slots__)
+    new = object.__new__
+
+    def _of(first, second):
+        obj = new(cls)
+        set_first(obj, first)
+        set_second(obj, second)
+        return obj
+    cls._of = staticmethod(_of)
+    return cls
+
+
+@trusted
 @dataclass(frozen=True, slots=True)
 class ThresholdSequence:
+    """Checked on construction: the first offending (1-based) index raises
+    NotIncreasingError if its value does not rise, else BoundViolationError."""
+
     params: ThresholdParams
     values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        params, values = self.params, self.values
+        if not isinstance(params, ThresholdParams):
+            raise InvalidParameterError(
+                f"params must be a ThresholdParams, got {params!r}")
+        if not isinstance(values, tuple):
+            raise InvalidParameterError(f"values must be a tuple, got {values!r}")
+        if len(values) != params.n:
+            raise InvalidParameterError(
+                f"expected {params.n} values, got {len(values)}")
+        upper, lowers = params.upper, params.lowers
+        # Strict increase bounds every value by the last, so only the last is
+        # compared with the upper bound.
+        if (all(map(operator.lt, values, values[1:]))
+                and all(map(operator.le, lowers, values))
+                and (not values or values[-1] <= upper)):
+            return
+        for i, (lower, value) in enumerate(zip(lowers, values), start=1):
+            if i > 1 and not values[i - 2] < value:
+                raise NotIncreasingError(i)
+            if not lower <= value <= upper:
+                raise BoundViolationError(i, value)
 
     @property
     def k(self) -> int:
@@ -92,7 +134,7 @@ class ThresholdSequence:
     def from_json(cls, data: dict | str) -> "ThresholdSequence":
         data = json_object(data, "k", "l", "n", "values")
         params = ThresholdParams(data["k"], data["l"], data["n"], data.get("d", 0))
-        return validate(int_entries(data["values"], "value"), params)
+        return cls(params, int_entries(data["values"], "value"))
 
 
 def json_object(data: dict | str, *keys: str) -> dict:
@@ -120,29 +162,9 @@ def int_entries(items: list | tuple, name: str) -> tuple[int, ...]:
     return items
 
 
-def validate(values: Sequence[int], params: ThresholdParams) -> ThresholdSequence:
-    """Check the defining inequalities and return the typed sequence.
-
-    Raises NotIncreasingError or BoundViolationError at the first
-    offending (1-based) index; at one index, NotIncreasingError first.
-    """
-    values = tuple(values)
-    n = len(values)
-    if n != params.n:
-        raise InvalidParameterError(
-            f"expected {params.n} values, got {n}")
-    upper, lowers = params.upper, params.lowers
-    # Strict increase bounds every value by the last, so only the last is
-    # compared with the upper bound.
-    if (all(map(operator.lt, values, values[1:]))
-            and all(map(operator.le, lowers, values))
-            and (not values or values[-1] <= upper)):
-        return ThresholdSequence(params, values)
-    for i, (lower, value) in enumerate(zip(lowers, values), start=1):
-        if i > 1 and not values[i - 2] < value:
-            raise NotIncreasingError(i)
-        if not lower <= value <= upper:
-            raise BoundViolationError(i, value)
+def validate(values: Iterable[int], params: ThresholdParams) -> ThresholdSequence:
+    """The checked sequence of values, which may be any iterable."""
+    return ThresholdSequence(params, tuple(values))
 
 
 def unshifted(seq: ThresholdSequence, name: str) -> tuple[int, ...]:
@@ -198,7 +220,7 @@ def enumerate_sequences(params: ThresholdParams,
 
     def extend(i: int) -> Iterator[ThresholdSequence]:
         if i > n:
-            yield ThresholdSequence(params, tuple(prefix))
+            yield ThresholdSequence._of(params, tuple(prefix))
             return
         start = lowers[i - 1]
         if prefix:
@@ -230,4 +252,4 @@ def shift(seq: ThresholdSequence, d: int) -> ThresholdSequence:
     """Translate all values and the offset by d (count-preserving)."""
     replace(seq.params, d=d)  # checks d itself, not only the new offset
     params = replace(seq.params, d=seq.d + d)
-    return ThresholdSequence(params, tuple(v + d for v in seq.values))
+    return ThresholdSequence._of(params, tuple(v + d for v in seq.values))

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .exactmath import check_knr
 from .threshold import (
-    ThresholdParams, ThresholdSequence, capped, cut_of, int_entries, unshifted,
-    validate)
+    ThresholdParams, ThresholdSequence, capped, cut_of, int_entries, trusted,
+    unshifted, validate)
 
 
 @dataclass(init=False, slots=True, unsafe_hash=True)
@@ -136,6 +136,7 @@ def _leaf(k: int) -> KaryTree:
     return KaryTree._of(k, b"\x00")
 
 
+@trusted
 @dataclass(frozen=True, slots=True)
 class TreeTuple:
     """Ordered tuple of k-ary trees (entries may be trivial)."""
@@ -150,14 +151,6 @@ class TreeTuple:
             raise InvalidParameterError("a tree tuple needs at least one entry")
         check_knr(self.k)
         _check_arity(self.k, self.trees, "tuple entry")
-
-    @classmethod
-    def _of(cls, k: int, trees: tuple[KaryTree, ...]) -> TreeTuple:
-        """The tuple of these trees, k and trees already valid."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "k", k)
-        object.__setattr__(t, "trees", trees)
-        return t
 
     @property
     def r(self) -> int:

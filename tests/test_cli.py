@@ -496,8 +496,11 @@ class TestVerify:
             (3, 6, 9), ThresholdParams(3, 1, 3)),
          {"path-roundtrip", "path-surjective"}),
         (ballot, "is_k_ballot_isolated", lambda word, k: False,
-         {"ballot-isolated"})], ids=["map-raised", "path-roundtrip",
-                                     "ballot-isolated"])
+         {"ballot-isolated"}),
+        (ballot, "from_ballot", lambda word, k, l: threshold.validate(
+            (3, 6, 9), ThresholdParams(3, 1, 3)),
+         {"ballot-roundtrip"})], ids=["map-raised", "path-roundtrip",
+                                      "ballot-isolated", "ballot-roundtrip"])
     def test_failing_cell_exits_one(self, capsys, monkeypatch, module, name,
                                     wrong, checks):
         monkeypatch.setattr(module, name, wrong)

@@ -2,18 +2,22 @@ import json
 
 import pytest
 
-from raneyseq import exactmath, threshold
+from raneyseq import exactmath, paths, threshold
 from raneyseq.errors import (
     BoundViolationError,
     BudgetExceededError,
     InvalidParameterError,
     NotIncreasingError,
+    RaneyseqError,
 )
-from raneyseq.threshold import ThresholdParams
+from raneyseq.threshold import ThresholdParams, ThresholdSequence
 
 S1 = (3, 6, 14, 15, 17, 18)
 S2 = (3, 6, 14, 15, 17, 19)
 S3 = (3, 4, 14, 15, 17, 18)
+# Cells (k, l, n, d) whose sequences, each value mutated, test the first failure.
+MUTATED_CELLS = [(3, 1, 6, 0), (2, 0, 1, 0), (4, 2, 5, 0), (3, 0, 4, 2),
+                 (5, 3, 1, -1)]
 
 
 class TestParams:
@@ -87,9 +91,7 @@ class TestValidate:
             if i + 1 < len(values):
                 yield values[:i] + (values[i + 1], values[i]) + values[i + 2:]
 
-    @pytest.mark.parametrize("k,l,n,d", [(3, 1, 6, 0), (2, 0, 1, 0),
-                                         (4, 2, 5, 0), (3, 0, 4, 2),
-                                         (5, 3, 1, -1)])
+    @pytest.mark.parametrize("k,l,n,d", MUTATED_CELLS)
     def test_first_failure_matches_reference(self, k, l, n, d):
         params = ThresholdParams(k, l, n, d)
         checked = 0
@@ -190,6 +192,93 @@ class TestCutIndex:
         seq = threshold.validate((), ThresholdParams(3, 1, 0))
         with pytest.raises(InvalidParameterError, match="requires n >= 1"):
             threshold.cut_index(seq)
+
+
+class TestConstructor:
+    """ThresholdSequence(params, values) checks what validate checks."""
+
+    @staticmethod
+    def inputs():
+        """The (values, params) of the TestValidate tests, bad and good."""
+        yield S3, ThresholdParams(3, 0, 6)
+        yield (3, 6, 6, 15, 17, 18), ThresholdParams(3, 0, 6)
+        yield (3, 6), ThresholdParams(3, 0, 3)
+        for k, l, n, d in MUTATED_CELLS:
+            params = ThresholdParams(k, l, n, d)
+            for seq in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+                values = tuple(v + d for v in seq.values)
+                for mutated in TestValidate.mutations(values, params.upper):
+                    yield mutated, params
+
+    @staticmethod
+    def error(build, *args):
+        """The type and message of what build(*args) raises, or None."""
+        try:
+            build(*args)
+        except RaneyseqError as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_raises_as_validate(self):
+        bad = 0
+        for values, params in self.inputs():
+            expected = self.error(threshold.validate, values, params)
+            assert self.error(ThresholdSequence, params, values) == expected
+            bad += expected is not None
+        assert bad > 100
+
+    # validate takes any iterable; the constructor only a tuple
+    def test_values_not_a_tuple(self):
+        params = ThresholdParams(3, 1, 2)
+        assert threshold.validate([3, 6], params).values == (3, 6)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^values must be a tuple, got \[3, 6\]$"):
+            ThresholdSequence(params, [3, 6])
+
+    @pytest.mark.parametrize("build", [ThresholdSequence,
+                                       lambda p, v: threshold.validate(v, p)],
+                             ids=["constructor", "validate"])
+    def test_params_not_threshold_params(self, build):
+        with pytest.raises(InvalidParameterError, match=r"^params must be a "
+                           r"ThresholdParams, got \(3, 1, 2\)$"):
+            build((3, 1, 2), (3, 6))
+
+    # Out of bounds at (3, 1, 2), where the upper bound is 7: path_of would
+    # make a path its own constructor rejects, and to_ballot and tuple_of
+    # would fail with bare errors, but no such sequence can be made.
+    @pytest.mark.parametrize("values,index", [((9, 1), 1), ((4, 20), 2)])
+    def test_out_of_bounds_sequence_never_made(self, values, index):
+        with pytest.raises(BoundViolationError) as exc:
+            ThresholdSequence(ThresholdParams(3, 1, 2), values)
+        assert (exc.value.index, exc.value.value) == (index, values[index - 1])
+
+
+class TestTrustedSequences:
+    """The sequences that enumerate_sequences, sequence_of_path and shift
+    build without the public checks are the public constructor's."""
+
+    CELLS = [(2, 0, 7), (3, 1, 5), (5, 3, 4)]
+
+    @staticmethod
+    def assert_public(s):
+        public = ThresholdSequence(s.params, s.values)
+        assert s == public and hash(s) == hash(public)
+
+    @pytest.mark.parametrize("k,l,n", CELLS)
+    def test_enumerated_sequences(self, k, l, n):
+        for s in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            self.assert_public(s)
+
+    @pytest.mark.parametrize("k,l,n", CELLS)
+    def test_mapped_sequences(self, k, l, n):
+        for s in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            self.assert_public(paths.sequence_of_path(paths.path_of(s), l))
+
+    @pytest.mark.parametrize("k,l,n", CELLS)
+    def test_shifted_sequences(self, k, l, n):
+        for s in threshold.enumerate_sequences(ThresholdParams(k, l, n)):
+            for d in (-7, 3):
+                self.assert_public(threshold.shift(s, d))
 
 
 class TestEnumerate:

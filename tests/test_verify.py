@@ -239,14 +239,33 @@ class TestBijectionSuite:
             ({"check": "path-surjective", "k": 3, "l": 1, "n": 3,
               "unmatched_objects": others, "unmet_images": others}, 0, 58)]
 
-    def test_word_not_ballot_isolated(self, monkeypatch):
-        monkeypatch.setattr(ballot, "is_k_ballot_isolated",
-                            lambda word, k: False)
+    @staticmethod
+    def raise_boom(*args):
+        raise EmptyTupleError("boom")
+
+    # A ballot map made wrong in one way: each sequence whose word is not
+    # isolated, decodes to another sequence, or cannot be encoded fails one
+    # cell, and every other sequence none.
+    @pytest.mark.parametrize("name,wrong,cell", [
+        ("is_k_ballot_isolated", lambda word, k: False,
+         lambda values: ("ballot-isolated", True, False)),
+        ("from_ballot", lambda word, k, l: threshold.validate(
+            (3, 6, 9), ThresholdParams(3, 1, 3)),
+         lambda values: ("ballot-roundtrip", values, [3, 6, 9])),
+        ("to_ballot", raise_boom,
+         lambda values: ("map-raised", "no error", "EmptyTupleError: boom"))],
+        ids=["ballot-isolated", "ballot-roundtrip", "map-raised"])
+    def test_wrong_ballot_map_fails_its_sequences(self, monkeypatch, name,
+                                                  wrong, cell):
+        monkeypatch.setattr(ballot, name, wrong)
         report = verify.check_bijections(3, 1, 3)
+        expected = []
+        for values in self.sequences_3_1_3():
+            check, want, got = cell(values)
+            if want != got:
+                expected.append(({"check": check, "seq": values}, want, got))
         assert [(c.params, c.expected, c.observed)
-                for c in report.failures] == [
-            ({"check": "ballot-isolated", "seq": values}, True, False)
-            for values in self.sequences_3_1_3()]
+                for c in report.failures] == expected
 
     @pytest.mark.parametrize("edit", ["repeat", "drop"])
     @pytest.mark.parametrize("module,name,check", [
@@ -566,12 +585,13 @@ class TestBijectionSuite:
               "unmatched_objects": [], "unmet_images": [first.to_json()]},
              0, 1)] * drop
 
-    # A path inverse past the upper bound, built without validate: every
-    # path is unmatched, and each round trip raises as a failing cell.
+    # A path inverse past the upper bound, built past the constructor's
+    # checks: every path is unmatched, and each round trip raises as a
+    # failing cell.
     def test_path_inverse_past_the_upper_bound(self, monkeypatch):
         params = ThresholdParams(3, 1, 3)
         monkeypatch.setattr(paths, "sequence_of_path", lambda path, l:
-                            threshold.ThresholdSequence(params, (3, 6, 11)))
+                            threshold.ThresholdSequence._of(params, (3, 6, 11)))
         report = verify.check_bijections(3, 1, 3)
         assert {(c.params["check"], c.observed) for c in report.failures
                 if "seq" in c.params} == {(
@@ -601,7 +621,7 @@ class TestBijectionSuite:
 
         def appended(params, budget=None):
             yield from original(params, budget=budget)
-            yield threshold.ThresholdSequence(params, outside)
+            yield threshold.ThresholdSequence._of(params, outside)
         monkeypatch.setattr(threshold, "enumerate_sequences", appended)
         report = verify.check_bijections(3, 1, 3)
         assert [(c.params, c.expected, c.observed)
